@@ -30,7 +30,8 @@ def bott_cohomology(a):
     )
     srt = sorted(v, reverse=True)
     lam = tuple(x - r for x, r in zip(srt, rho(n)))
-    assert weights.is_dominant(lam)
+    if not weights.is_dominant(lam):
+        raise ArithmeticError(f"sorted weight {lam} is not dominant")
     return inversions, lam
 
 
@@ -79,7 +80,9 @@ def les_restriction_to_Q(n, d, coker_dim=None):
     outer = sdg_cohomology_on_P(n, d, +1)
     if d == 0:
         # 0 -> H^0(S^0(G)(1)) -> H^0(restriction) -> H^1(inner) = 0
-        assert not inner and set(outer) == {0}
+        if inner or set(outer) != {0}:
+            raise ArithmeticError(
+                f"degree 0 restriction at n={n}: inner {inner}, outer {outer}")
         return {0: weights.isotypic_dim(outer[0])}
     if d in (1, 2):
         # inner contributes H^1 shifted into H^0 of the restriction

@@ -44,17 +44,17 @@ def cech_slice(n, m):
     for p in range(n - 1):
         src = levels[p]
         dst = {I: i for i, I in enumerate(levels[p + 1])}
-        rows = [[0] * len(src) for _ in range(len(dst))]
-        for j, I in enumerate(src):
+        cols = []
+        for I in src:
+            col = {}
             for k in range(n):
                 if k in I:
                     continue
                 J = tuple(sorted(I + (k,)))
-                if J not in dst:
-                    continue
-                sign = (-1) ** J.index(k)
-                rows[dst[J]][j] = sign
-        ranks.append(linalg.rank(rows) if src and dst else 0)
+                if J in dst:
+                    col[dst[J]] = (-1) ** J.index(k)
+            cols.append(col)
+        ranks.append(linalg.rank_sparse(cols))
     cohom = []
     for p in range(n):
         incoming = ranks[p - 1] if p > 0 else 0

@@ -6,7 +6,6 @@ exact rank disagreeing with a dimension formula).
 
 import argparse
 import json
-import os
 import sys
 
 from . import bott, cech, killing, reconf, weights, young_map
@@ -29,18 +28,6 @@ def _emit(payload, fmt, tsv_fn=None, pretty_fn=None):
 
 def _default_tsv(payload):
     return "\n".join(f"{k}\t{payload[k]}" for k in sorted(payload))
-
-
-def thread_cap():
-    """Optional LIOUVILLE_THREADS cap; computation is sequential, so any
-    positive cap is honored."""
-    raw = os.environ.get("LIOUVILLE_THREADS")
-    if raw is None:
-        return None
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("LIOUVILLE_THREADS must be >= 1")
-    return cap
 
 
 def cmd_bott(args):
@@ -152,7 +139,10 @@ def _selftest_weyl():
     from math import comb
     for n in range(1, 6):
         for d in range(0, 8):
-            assert weights.weyl_dim(weights.pad((d,), n)) == comb(n + d - 1, d)
+            dim = weights.weyl_dim(weights.pad((d,), n))
+            if dim != comb(n + d - 1, d):
+                raise ArithmeticError(
+                    f"dim S^{d} of C^{n} is {dim}, not {comb(n + d - 1, d)}")
 
 
 def _selftest_bott():
@@ -163,7 +153,8 @@ def _selftest_bott():
         a = tuple(rng.randint(-6, 6) for _ in range(n))
         res = bott.bott_cohomology(a)
         v = [x + r for x, r in zip(a, bott.rho(n))]
-        assert (res is None) == (len(set(v)) < n)
+        if (res is None) != (len(set(v)) < n):
+            raise ArithmeticError(f"Bott vanishing wrong for weight {a}")
 
 
 def _selftest_sheaf_table():
@@ -171,24 +162,25 @@ def _selftest_sheaf_table():
         for d in range(0, 8):
             for b in (-1, 1):
                 gc = bott.sdg_cohomology_on_P(n, d, b)
-                assert len(gc) <= 1
+                if len(gc) > 1:
+                    raise ArithmeticError(
+                        f"S^{d}(G)({b}) on P(C^{n}) has cohomology in "
+                        f"degrees {sorted(gc)}")
 
 
 def _selftest_ydq():
     for n, d in ((2, 2), (2, 3), (3, 2), (3, 3)):
         ker, coker = young_map.kernel_cokernel_dims(n, d)
-        if n == 2:
-            assert ker == 2 and coker == 0
-        else:
-            assert ker == 0
+        ok = (ker, coker) == (2, 0) if n == 2 else ker == 0
+        if not ok:
+            raise ArithmeticError(
+                f"y_dq at n={n}, d={d} has ker={ker}, coker={coker}")
 
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "tsv", "pretty"],
                         default="json")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized probes")
     p = argparse.ArgumentParser(
         prog="liouville",
         description="Exact cohomology computations for the derived "
@@ -251,12 +243,11 @@ def run(argv):
     except SystemExit as e:
         return 1 if e.code else 0
     try:
-        thread_cap()
         return args.fn(args)
     except ArithmeticError as e:
         print(f"integrity failure [{args.command}]: {e}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         print(f"error [{args.command}]: {e}", file=sys.stderr)
         return 1
 

@@ -83,11 +83,16 @@ def ck_operator(xi, q=None):
     return out
 
 
-def ck_matrix(n, d, q=None):
-    """Matrix of the conformal Killing operator on degree-d fields."""
+def ck_columns(n, d, q=None):
+    """Sparse columns of the conformal Killing operator on degree-d fields.
+
+    Columns run over (component, source monomial); rows over the pairs
+    i <= j times the monomials of degree d - 1.
+    """
     q = q if q is not None else QuadraticForm.standard(n)
     src = monomials(n, d)
     out_basis = monomials(n, max(d - 1, 0))
+    index = {e: i for i, e in enumerate(out_basis)}
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     cols = []
     for comp in range(n):
@@ -97,23 +102,21 @@ def ck_matrix(n, d, q=None):
                  for k in range(n)]
             )
             tensor = ck_operator(field, q)
-            col = []
-            for p in pairs:
-                col.extend(tensor[p].coeff_vector(out_basis))
+            col = {}
+            for p, pair in enumerate(pairs):
+                for m, c in tensor[pair].coeffs.items():
+                    col[p * len(out_basis) + index[m]] = c
             cols.append(col)
-    rows = [[cols[j][i] for j in range(len(cols))]
-            for i in range(len(pairs) * len(out_basis))]
-    return rows, src
+    return cols, src
 
 
 def ck_kernel(n, d, q=None):
     """Basis of degree-d homogeneous conformal Killing fields."""
     if n < 2 or d < 0:
         raise ValueError("need n >= 2, d >= 0")
-    rows, src = ck_matrix(n, d, q)
-    ncols = n * len(src)
+    cols, src = ck_columns(n, d, q)
     basis = []
-    for v in linalg.nullspace(rows, ncols=ncols):
+    for v in linalg.nullspace(cols):
         comps = []
         for comp in range(n):
             chunk = v[comp * len(src):(comp + 1) * len(src)]
@@ -186,34 +189,34 @@ def structure_constants(named_basis):
     Returns a dict {(a, b): {c: coeff}} over basis indices a < b.
     """
     n = named_basis[0][1].n
-    coords = [_field_coords(f, n) for _, f in named_basis]
-    # columns of the change-of-basis matrix
-    mat = [[coords[j][i] for j in range(len(coords))]
-           for i in range(len(coords[0]))]
-    out = {}
-    for a in range(len(named_basis)):
-        for b in range(a + 1, len(named_basis)):
-            br = bracket(named_basis[a][1], named_basis[b][1])
-            target = _field_coords(br, n) if not br.is_zero() else None
-            if br.is_zero() or br.degree > 2:
-                out[(a, b)] = {}
-                continue
-            coeffs = _solve(mat, target)
-            out[(a, b)] = {c: v for c, v in enumerate(coeffs) if v != 0}
+    fields = [f for _, f in named_basis]
+    targets = {(a, b): _field_coords(bracket(fields[a], fields[b]), n)
+               for a in range(len(fields)) for b in range(a + 1, len(fields))}
+    return _solve([_field_coords(f, n) for f in fields], targets,
+                  [name for name, _ in named_basis])
+
+
+def _solve(basis, targets, names):
+    """Coordinates of every target vector over the basis vectors, exactly.
+
+    `targets` maps a pair (a, b) to a vector. One reduced echelon form of
+    [basis | all targets] solves them all; a target outside the span
+    raises ArithmeticError naming its pair.
+    """
+    keys = list(targets)
+    red, pivots = linalg.rref(
+        list(zip(*basis, *(targets[k] for k in keys))))
+    nb = len(basis)
+    out = {k: {} for k in keys}
+    for row, pc in zip(red, pivots):
+        if pc >= nb:
+            a, b = keys[pc - nb]
+            raise ArithmeticError(
+                f"[{names[a]}, {names[b]}] left the span of the basis")
+        for t, k in enumerate(keys):
+            if row[nb + t]:
+                out[k][pc] = row[nb + t]
     return out
-
-
-def _solve(mat, target):
-    """Solve mat * x = target exactly (unique solution expected)."""
-    aug = [row + [t] for row, t in zip(mat, target)]
-    red, pivots = linalg.rref(aug)
-    ncols = len(mat[0])
-    if ncols in pivots:
-        raise ArithmeticError("bracket left the span of the basis")
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x
 
 
 def so_matrix_form(n):
@@ -223,17 +226,17 @@ def so_matrix_form(n):
     the middle.
     """
     size = n + 2
-    g = [[Fraction(0)] * size for _ in range(size)]
-    g[0][size - 1] = g[size - 1][0] = Fraction(1)
+    g = [[0] * size for _ in range(size)]
+    g[0][size - 1] = g[size - 1][0] = 1
     for i in range(n):
-        g[i + 1][i + 1] = Fraction(1)
+        g[i + 1][i + 1] = 1
     return g
 
 
 def _x_ab(n, a, b, gram):
     """Generator X_ab: v -> e_a <e_b, v> - e_b <e_a, v>."""
     size = n + 2
-    m = [[Fraction(0)] * size for _ in range(size)]
+    m = [[0] * size for _ in range(size)]
     for c in range(size):
         m[a][c] += gram[b][c]
         m[b][c] -= gram[a][c]
@@ -275,21 +278,12 @@ def _mat_comm(a, b):
 
 def so_structure_constants(n):
     """Structure constants of the so(n+2) images of the conformal basis."""
-    mats = conformal_to_so_matrices(n)
-    flat = [[x for row in m for x in row] for _, m in mats]
-    mat = [[flat[j][i] for j in range(len(flat))]
-           for i in range(len(flat[0]))]
-    out = {}
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            comm = _mat_comm(mats[a][1], mats[b][1])
-            target = [x for row in comm for x in row]
-            if not any(target):
-                out[(a, b)] = {}
-                continue
-            coeffs = _solve(mat, target)
-            out[(a, b)] = {c: v for c, v in enumerate(coeffs) if v != 0}
-    return out
+    named = conformal_to_so_matrices(n)
+    mats = [m for _, m in named]
+    targets = {(a, b): [x for row in _mat_comm(mats[a], mats[b]) for x in row]
+               for a in range(len(mats)) for b in range(a + 1, len(mats))}
+    return _solve([[x for row in m for x in row] for m in mats], targets,
+                  [name for name, _ in named])
 
 
 def check_jacobi(constants, dim):

@@ -1,174 +1,133 @@
 """Exact rational linear algebra: rank, nullspace, RREF.
 
-All matrices are lists of rows; entries are ints or Fractions. Ranks are
-computed by fraction-free integer elimination (row contents get cleared to
-integers first), so results are exact and reproducible bit-for-bit.
+One sparse fraction-free eliminator does all of it. Vectors are
+{index: value} dicts with int or Fraction values; each is cleared to a
+primitive integer vector and reduced against the pivots found so far with
+integer cross-multiplication (Bareiss-style, no Fractions inside the
+loop). A back-substitution pass then gives the reduced row echelon form,
+which is unique, so kernels and solutions are reproducible bit-for-bit.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _clear_row(row):
-    """Scale a row of ints/Fractions to a primitive integer row."""
+def _primitive(vec):
+    """Nonzero entries of a sparse vector, scaled to coprime integers."""
     denom = 1
-    for x in row:
+    for x in vec.values():
         if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) if isinstance(x, Fraction) else x * denom for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+            denom = lcm(denom, x.denominator)
+    out = {i: int(x * denom) for i, x in vec.items() if x}
+    g = gcd(*out.values())
     if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+        out = {i: x // g for i, x in out.items()}
+    return out
 
 
-def rank(rows):
-    """Exact rank of a matrix given as a list of rows."""
-    mat = [_clear_row(r) for r in rows if any(r)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    col = 0
-    while col < ncols and r < len(mat):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pr = mat[r]
-        pv = pr[col]
-        for i in range(r + 1, len(mat)):
-            v = mat[i][col]
-            if v == 0:
-                continue
-            row = [pv * a - v * b for a, b in zip(mat[i], pr)]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
-            if g > 1:
-                row = [x // g for x in row]
-            mat[i] = row
-        r += 1
-        col += 1
-    return r
+def _eliminate(vec, piv, i):
+    """Integer combination of vec and piv with entry i cancelled."""
+    a, b = piv[i], vec[i]
+    g = gcd(a, b)
+    fa, fb = a // g, b // g
+    new = {}
+    for k in set(vec) | set(piv):
+        val = fa * vec.get(k, 0) - fb * piv.get(k, 0)
+        if val:
+            new[k] = val
+    return new
 
 
-def rref(rows):
-    """Reduced row echelon form over Q.
+def _echelon(vectors, reduced=False):
+    """Fraction-free echelon basis of the span of sparse vectors.
 
-    Returns (rref_rows, pivot_columns). Input rows are not modified.
+    Returns {lead: vector}, each vector primitive and integral with its
+    smallest index `lead`. Incremental: each vector is reduced against the
+    pivots found so far, which keeps large, mostly-empty matrices cheap.
+    With `reduced`, every pivot vector is also cleared at the other leads.
     """
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def nullspace(rows, ncols=None):
-    """Basis of the right kernel of the matrix, as Fraction vectors.
-
-    `ncols` must be given when `rows` is empty (the kernel is then all of
-    the column space).
-    """
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][j]
-        basis.append(v)
-    return basis
-
-
-def rank_sparse(columns, nrows=None):
-    """Exact rank from sparse columns ({row_index: value} dicts).
-
-    Incremental: each column is reduced against the pivots found so far,
-    which keeps large, mostly-empty matrices (multiplication and
-    differential operators in monomial bases) cheap.
-    """
-    pivots = {}  # leading row index -> reduced column
-    for col in columns:
-        vec = {}
-        denom = 1
-        for i, x in col.items():
-            if x:
-                f = Fraction(x)
-                vec[i] = f
-                denom = denom * f.denominator // gcd(denom, f.denominator)
-        if denom > 1:
-            vec = {i: x * denom for i, x in vec.items()}
-        vec = {i: int(x) for i, x in vec.items()}
+    pivots = {}
+    for vec in vectors:
+        vec = _primitive(vec)
         while vec:
             lead = min(vec)
             if lead not in pivots:
-                g = 0
-                for x in vec.values():
-                    g = gcd(g, x)
-                if g > 1:
-                    vec = {i: x // g for i, x in vec.items()}
-                pivots[lead] = vec
+                pivots[lead] = _primitive(vec)
                 break
-            piv = pivots[lead]
-            a, b = piv[lead], vec[lead]
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            new = {}
-            for i in set(vec) | set(piv):
-                val = fa * vec.get(i, 0) - fb * piv.get(i, 0)
-                if val:
-                    new[i] = val
-            vec = new
-    return len(pivots)
+            vec = _eliminate(vec, pivots[lead], lead)
+    if reduced:
+        leads = sorted(pivots)
+        for k in range(len(leads) - 2, -1, -1):
+            vec = pivots[leads[k]]
+            for lead in leads[k + 1:]:
+                if lead in vec:
+                    vec = _eliminate(vec, pivots[lead], lead)
+            pivots[leads[k]] = _primitive(vec)
+    return pivots
 
 
-def matrix_to_triplets(rows):
-    """Sparse triplet text lines (row, col, value) for external checks."""
-    lines = []
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x != 0:
-                lines.append(f"{i}\t{j}\t{Fraction(x)}")
-    return lines
+def _rref(vectors):
+    """Reduced echelon rows as sparse Fraction dicts, and their pivots."""
+    pivots = _echelon(vectors, reduced=True)
+    leads = sorted(pivots)
+    rows = []
+    for lead in leads:
+        vec = pivots[lead]
+        rows.append({i: Fraction(x, vec[lead]) for i, x in vec.items()})
+    return rows, leads
+
+
+def rank(rows):
+    """Exact rank of a matrix given as a list of dense rows."""
+    return len(_echelon({j: x for j, x in enumerate(r) if x} for r in rows))
+
+
+def rank_sparse(columns):
+    """Exact rank of a matrix given as sparse columns ({row: value})."""
+    return len(_echelon(columns))
+
+
+def rref(rows):
+    """Reduced row echelon form over Q of a list of dense rows.
+
+    Returns (rref_rows, pivot_columns), rows as dense Fraction lists.
+    Input rows are not modified.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    red, pivots = _rref({j: x for j, x in enumerate(r) if x} for r in rows)
+    out = []
+    for vec in red:
+        row = [Fraction(0)] * ncols
+        for j, x in vec.items():
+            row[j] = x
+        out.append(row)
+    return out, pivots
+
+
+def nullspace(columns):
+    """Basis of the right kernel of a matrix given as sparse columns.
+
+    The basis is read off the reduced row echelon form: one vector per
+    free column, as dense Fraction lists of length len(columns).
+    """
+    ncols = len(columns)
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            if x:
+                rows.setdefault(i, {})[j] = x
+    red, pivots = _rref(rows.values())
+    pivset = set(pivots)
+    basis = []
+    for j in range(ncols):
+        if j in pivset:
+            continue
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            if j in row:
+                v[pc] = -row[j]
+        basis.append(v)
+    return basis

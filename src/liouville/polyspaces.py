@@ -214,20 +214,6 @@ def laplacian_q(f, q):
     return out
 
 
-def laplacian_matrix(n, d, q):
-    """Matrix of Delta_q : S^d -> S^{d-2} in the canonical bases."""
-    if d < 2:
-        return [], monomials(n, d)
-    src = monomials(n, d)
-    dst = monomials(n, d - 2)
-    cols = []
-    for e in src:
-        img = laplacian_q(Poly.monomial(n, e), q)
-        cols.append(img.coeff_vector(dst))
-    rows = [[cols[j][i] for j in range(len(src))] for i in range(len(dst))]
-    return rows, src
-
-
 def laplacian_columns(n, d, q):
     """Sparse columns of Delta_q : S^d -> S^{d-2}."""
     src = monomials(n, d)
@@ -265,11 +251,8 @@ def harmonic_basis(n, d, q=None):
     src = monomials(n, d)
     if d < 2:
         return [Poly.monomial(n, e) for e in src]
-    rows, _ = laplacian_matrix(n, d, q)
-    basis = []
-    for v in linalg.nullspace(rows, ncols=len(src)):
-        basis.append(Poly(n, d, dict(zip(src, v))))
-    return basis
+    cols, _ = laplacian_columns(n, d, q)
+    return [Poly(n, d, dict(zip(src, v))) for v in linalg.nullspace(cols)]
 
 
 def restrict_to_plane(f, e1, e2):
@@ -282,14 +265,11 @@ def restrict_to_plane(f, e1, e2):
         raise ValueError("plane basis vectors are linearly dependent")
     n = f.n
     vecs = [[Fraction(x) for x in e1], [Fraction(x) for x in e2]]
-    s = Poly.variable(2, 0)
-    t = Poly.variable(2, 1)
     # z_i restricted = e1_i * s + e2_i * t
     lin = [
         Poly(2, 1, {(1, 0): vecs[0][i], (0, 1): vecs[1][i]})
         for i in range(n)
     ]
-    del s, t
     out = Poly(2, f.degree)
     for e, c in f.coeffs.items():
         term = Poly(2, 0, {(0, 0): c})

@@ -35,7 +35,8 @@ def weyl_dim(lam):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     d, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"Weyl dimension of {lam} is not an integer")
     return d
 
 

@@ -233,28 +233,10 @@ def y_dq_columns(n, d, q=None):
     return cols, src
 
 
-def y_dq_matrix(n, d, q=None):
-    """Matrix of y_dq : S^d -> bidegree-(d,2) space, canonical bases."""
-    q = q if q is not None else QuadraticForm.standard(n)
-    src = monomials(n, d)
-    dst = bipoly_basis(n, d, 2)
-    index = {k: i for i, k in enumerate(dst)}
-    cols = []
-    for e in src:
-        img = y_dq(Poly.monomial(n, e), q)
-        col = [Fraction(0)] * len(dst)
-        for k, c in img.coeffs.items():
-            col[index[k]] = c
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(len(src))] for i in range(len(dst))]
-    return rows, src, dst
-
-
 def y_dq_kernel(n, d, q=None):
     """Exact kernel basis of y_dq on S^d, as Polys."""
-    rows, src, _ = y_dq_matrix(n, d, q)
-    return [Poly(n, d, dict(zip(src, v)))
-            for v in linalg.nullspace(rows, ncols=len(src))]
+    cols, src = y_dq_columns(n, d, q)
+    return [Poly(n, d, dict(zip(src, v))) for v in linalg.nullspace(cols)]
 
 
 def kernel_cokernel_dims(n, d, q=None):
@@ -365,7 +347,7 @@ def symmetrizer_ydq_matrix(n, d, q=None):
     """Oracle realization of y_dq: f -> c_{(d,2)}(sym(f) tensor q).
 
     Returns the matrix S^d -> V^{tensor (d+2)} (columns over the monomial
-    basis of S^d) for comparison of ranks and kernels with y_dq_matrix.
+    basis of S^d) for comparison of ranks and kernels with y_dq_columns.
     """
     q = q if q is not None else QuadraticForm.standard(n)
     lam = (d, 2)

@@ -66,8 +66,12 @@ class TestCommands:
 
 
 class TestExitCodes:
-    def test_usage_error(self, capsys):
-        assert run(capsys, "reconf", "--n", "4")[0] == 1  # missing --dmax
+    @pytest.mark.parametrize("argv", [
+        ["reconf", "--n", "4"],  # missing --dmax
+        ["bott", "--weight", "0", "--seed", "1"],  # no such option
+    ], ids=["missing-dmax", "unknown-option"])
+    def test_usage_error(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 1
 
     def test_precondition_error(self, capsys):
         code, _, err = run(capsys, "reconf", "--n", "2", "--dmax", "5")
@@ -88,6 +92,15 @@ class TestExitCodes:
         assert code == 2
         assert "integrity" in err
 
+    def test_failed_selftest_check_is_2(self, capsys, monkeypatch):
+        from liouville import young_map
+
+        monkeypatch.setattr(young_map, "kernel_cokernel_dims",
+                            lambda n, d: (1, 1))
+        code, _, err = run(capsys, "selftest")
+        assert code == 2
+        assert "integrity" in err
+
 
 class TestReproducibility:
     def test_byte_identical_output(self, capsys):
@@ -98,13 +111,3 @@ class TestReproducibility:
     def test_json_has_schema_version(self, capsys):
         _, out, _ = run(capsys, "killing", "--n", "3", "--d", "0")
         assert json.loads(out)["schema_version"] == 1
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("LIOUVILLE_THREADS", "2")
-    assert cli.thread_cap() == 2
-    monkeypatch.setenv("LIOUVILLE_THREADS", "0")
-    with pytest.raises(ValueError):
-        cli.thread_cap()
-    monkeypatch.delenv("LIOUVILLE_THREADS")
-    assert cli.thread_cap() is None

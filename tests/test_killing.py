@@ -81,6 +81,13 @@ class TestBracket:
         c = constants[(i_p1, i_k1)]
         assert c.get(i_d) == 2
 
+    def test_bracket_outside_the_basis_raises(self):
+        # [P1, K1] has a dilation part, so the basis without D is not closed
+        basis = [(name, f) for name, f in killing.named_conformal_basis(3)
+                 if name != "D"]
+        with pytest.raises(ArithmeticError, match=r"\[P1, K1\]"):
+            killing.structure_constants(basis)
+
     def test_antisymmetry(self):
         n = 3
         basis = killing.named_conformal_basis(n)

@@ -1,0 +1,95 @@
+"""linalg against sympy's exact rational linear algebra (test-only oracle)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from liouville import linalg
+
+
+def _entry(rng, kind):
+    if rng.random() < 0.6:
+        return 0
+    if kind == "int":
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+
+def _random_matrix(rng, kind):
+    """m x n product of sparse m x r and r x n factors: rank <= r, often
+    below min(m, n)."""
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    r = rng.randint(0, min(m, n))
+    b = [[_entry(rng, kind) for _ in range(r)] for _ in range(m)]
+    c = [[_entry(rng, kind) for _ in range(n)] for _ in range(r)]
+    return [[sum((b[i][k] * c[k][j] for k in range(r)), 0) for j in range(n)]
+            for i in range(m)]
+
+
+def _columns(rows, keep_zeros=False):
+    ncols = len(rows[0]) if rows else 0
+    return [{i: r[j] for i, r in enumerate(rows) if keep_zeros or r[j]}
+            for j in range(ncols)]
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _cases(kind):
+    rng = random.Random(f"linalg-{kind}")
+    cases = [_random_matrix(rng, kind) for _ in range(60)]
+    cases.append([[0] * 4 for _ in range(3)])
+    cases.append([[0, 2, 4], [0, 1, 2], [0, 3, 6]])
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_rank_matches_sympy(kind):
+    for rows in _cases(kind):
+        expected = sympy.Matrix(rows).rank()
+        assert linalg.rank(rows) == expected
+        assert linalg.rank_sparse(_columns(rows)) == expected
+        assert linalg.rank_sparse(_columns(rows, keep_zeros=True)) == expected
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_rref_matches_sympy(kind):
+    for rows in _cases(kind):
+        red, pivots = linalg.rref(rows)
+        expected, expected_pivots = sympy.Matrix(rows).rref()
+        assert pivots == list(expected_pivots)
+        assert red == [[_fraction(x) for x in expected.row(i)]
+                       for i in range(len(pivots))]
+        assert all(type(x) is Fraction for row in red for x in row)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_nullspace_matches_sympy(kind):
+    for rows in _cases(kind):
+        basis = linalg.nullspace(_columns(rows))
+        expected = [[_fraction(x) for x in v]
+                    for v in sympy.Matrix(rows).nullspace()]
+        assert basis == expected
+
+
+def test_empty_matrices():
+    assert linalg.rank([]) == 0
+    assert linalg.rank_sparse([]) == 0
+    assert linalg.rref([]) == ([], [])
+    assert linalg.nullspace([]) == []
+    # columns with no entries: the kernel is everything
+    assert linalg.nullspace([{}, {}]) == [[1, 0], [0, 1]]
+
+
+def test_inputs_are_not_modified():
+    rows = [[2, Fraction(1, 3)], [4, Fraction(2, 3)]]
+    cols = _columns(rows)
+    before = ([list(r) for r in rows], [dict(c) for c in cols])
+    linalg.rank(rows)
+    linalg.rref(rows)
+    linalg.rank_sparse(cols)
+    linalg.nullspace(cols)
+    assert (rows, cols) == before

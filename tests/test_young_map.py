@@ -242,13 +242,3 @@ class TestPlaneHarmonicity:
         for d in (2, 3, 4):
             for f in ym.y_dq_kernel(2, d, q):
                 assert ym.plane_harmonicity_test(f, q)
-
-
-def test_triplet_export():
-    cols, src = ym.y_dq_columns(2, 2)
-    rows_dense, _, _ = ym.y_dq_matrix(2, 2)
-    lines = linalg.matrix_to_triplets(rows_dense)
-    assert lines
-    for line in lines:
-        i, j, val = line.split("\t")
-        assert rows_dense[int(i)][int(j)] == Fraction(val)
