@@ -13,6 +13,23 @@ from .polyspaces import QuadraticForm
 
 SCHEMA_VERSION = 1
 
+# The largest enumeration each command starts; a larger input exits 1
+# before any work. Inputs near a limit (cech --n 6 --box 3, ydq --n 7
+# --d 5, killing --n 10 --d 4) run for 8-21 s on a 2-vCPU VM.
+CECH_BUDGET = 10 ** 7  # (2*box+1)^n Laurent slices times 2^n cover subsets
+YDQ_BUDGET = 20_000  # dim S^d * dim S^2 monomials of bidegree (d, 2)
+KILLING_BUDGET = 10_000  # n * dim S^d columns of the Killing operator
+
+
+def _sym_dim(n, d):
+    # n < 1 is left for the command's own precondition check to refuse
+    return weights.sym_dim(n, d) if n > 0 else 0
+
+
+def _within_budget(name, limit, size):
+    if size > limit:
+        raise ValueError(f"{size} cases exceed {name} = {limit}")
+
 
 def _emit(payload, fmt, tsv_fn=None, pretty_fn=None):
     if fmt == "json":
@@ -52,6 +69,9 @@ def cmd_sheaf(args):
 
 
 def cmd_cech(args):
+    n = max(args.n, 0)
+    slices = max(2 * args.box + 1, 0) ** n
+    _within_budget("CECH_BUDGET", CECH_BUDGET, slices * 2 ** n)
     rows, totals = cech.punctured_affine_table(args.n, args.box)
     payload = {"n": args.n, "box": args.box}
     payload.update(cech.table_to_json(rows, totals))
@@ -60,6 +80,8 @@ def cmd_cech(args):
 
 
 def cmd_ydq(args):
+    _within_budget("YDQ_BUDGET", YDQ_BUDGET,
+                   _sym_dim(args.n, args.d) * _sym_dim(args.n, 2))
     ker, coker = young_map.kernel_cokernel_dims(args.n, args.d)
     payload = {"n": args.n, "d": args.d, "ker": ker, "coker": coker}
     if args.oracle:
@@ -80,6 +102,8 @@ def cmd_ydq(args):
 
 
 def cmd_killing(args):
+    _within_budget("KILLING_BUDGET", KILLING_BUDGET,
+                   args.n * _sym_dim(args.n, args.d))
     basis = killing.ck_kernel(args.n, args.d)
     payload = {"n": args.n, "d": args.d, "dim": len(basis)}
     if args.d <= 2:

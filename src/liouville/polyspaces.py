@@ -34,10 +34,11 @@ class Poly:
         self.coeffs = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c == 0:
                     continue
-                if len(e) != n or sum(e) != degree or any(x < 0 for x in e):
+                if len(e) != n or sum(e) != degree or min(e, default=0) < 0:
                     raise ValueError(f"bad exponent {e} for degree {degree}")
                 self.coeffs[tuple(e)] = c
 
@@ -58,7 +59,7 @@ class Poly:
         self._check(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s == 0:
                 out.pop(e, None)
             else:
@@ -79,8 +80,26 @@ class Poly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.n, self.degree + other.degree, out)
+
+    def substitute(self, forms):
+        """f(l_1, ..., l_n): variable i becomes the linear Poly forms[i].
+
+        The forms share one ring, whose variable count the result takes.
+        """
+        m = forms[0].n if forms else 0
+        if len(forms) != self.n or any(
+                lin.n != m or lin.degree != 1 for lin in forms):
+            raise ValueError(f"need {self.n} linear forms in one ring")
+        out = Poly(m, self.degree)
+        for e, c in self.coeffs.items():
+            term = Poly(m, 0, {(0,) * m: c})
+            for lin, k in zip(forms, e):
+                for _ in range(k):
+                    term = term * lin
+            out = out + term
+        return out
 
     def diff(self, i):
         out = {}
@@ -263,21 +282,9 @@ def restrict_to_plane(f, e1, e2):
     """
     if linalg.rank([list(e1), list(e2)]) < 2:
         raise ValueError("plane basis vectors are linearly dependent")
-    n = f.n
-    vecs = [[Fraction(x) for x in e1], [Fraction(x) for x in e2]]
     # z_i restricted = e1_i * s + e2_i * t
-    lin = [
-        Poly(2, 1, {(1, 0): vecs[0][i], (0, 1): vecs[1][i]})
-        for i in range(n)
-    ]
-    out = Poly(2, f.degree)
-    for e, c in f.coeffs.items():
-        term = Poly(2, 0, {(0, 0): c})
-        for i in range(n):
-            for _ in range(e[i]):
-                term = term * lin[i]
-        out = out + term
-    return out
+    return f.substitute([Poly(2, 1, {(1, 0): a, (0, 1): b})
+                         for a, b in zip(e1, e2)])
 
 
 def restricted_form(q, e1, e2):

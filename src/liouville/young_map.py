@@ -1,7 +1,7 @@
 """The vertical Young multiplication S^d(M*) -> Sigma^{d,2}(M*).
 
-Sigma^{d,2} is realized inside the space of bihomogeneous polynomials of
-bidegree (d,2) in two vector variables x, y as an isotypic component cut
+Sigma^{d,2} is realized inside the polynomials in 2n variables (x, y),
+x_1..x_n then y_1..y_n, of bidegree (d,2), as an isotypic component cut
 out by a quadratic-Casimir polynomial projector. The map itself sends
 f to the projection of f(x)*q(y). A Young-symmetrizer realization in
 V^{tensor (d+2)} is kept as a small-scale independent oracle.
@@ -16,112 +16,31 @@ from .polyspaces import Poly, QuadraticForm, monomials
 from .weights import pad, weyl_dim
 
 
-class BiPoly:
-    """Bihomogeneous polynomial in x (degree d) and y (degree e)."""
-
-    def __init__(self, n, bidegree, coeffs=None):
-        self.n = n
-        self.bidegree = tuple(bidegree)
-        self.coeffs = {}
-        if coeffs:
-            d, e = self.bidegree
-            for (ex, ey), c in coeffs.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                if sum(ex) != d or sum(ey) != e:
-                    raise ValueError(f"bad bidegree for {(ex, ey)}")
-                self.coeffs[(tuple(ex), tuple(ey))] = c
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BiPoly(self.n, self.bidegree, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return BiPoly(self.n, self.bidegree,
-                      {k: v * c for k, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.coeffs == other.coeffs
-
-    def coeff_vector(self, basis):
-        return [self.coeffs.get(k, Fraction(0)) for k in basis]
-
-    def substitute(self, mat):
-        """Simultaneous linear substitution x -> R x, y -> R y."""
-        n = self.n
-        out = BiPoly(n, self.bidegree)
-        # linear forms: (R x)_i = sum_j R[i][j] x_j
-        for (ex, ey), c in self.coeffs.items():
-            terms = {((0,) * n, (0,) * n): c}
-            for i in range(n):
-                for _ in range(ex[i]):
-                    terms = _mul_linear(terms, mat[i], n, 0)
-                for _ in range(ey[i]):
-                    terms = _mul_linear(terms, mat[i], n, 1)
-            out = out + BiPoly(n, self.bidegree, terms)
-        return out
-
-
-def _mul_linear(terms, row, n, which):
-    out = {}
-    for (ex, ey), c in terms.items():
-        for j in range(n):
-            if row[j] == 0:
-                continue
-            if which == 0:
-                e2 = list(ex)
-                e2[j] += 1
-                k = (tuple(e2), ey)
-            else:
-                e2 = list(ey)
-                e2[j] += 1
-                k = (ex, tuple(e2))
-            out[k] = out.get(k, Fraction(0)) + c * Fraction(row[j])
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def bipoly_basis(n, d, e):
-    """Canonical basis of bidegree-(d,e) space: pairs of exponent tuples."""
-    return [(ex, ey) for ex in monomials(n, d) for ey in monomials(n, e)]
+    """Canonical basis of bidegree (d,e): exponent tuples ex + ey."""
+    return [ex + ey for ex in monomials(n, d) for ey in monomials(n, e)]
 
 
 def _e_op(F, i, j):
     """E_ij F where E_ij = x_i d/dx_j + y_i d/dy_j."""
+    n = F.n // 2
+    moves = ((i, j), (n + i, n + j))
     out = {}
-    for (ex, ey), c in F.coeffs.items():
-        if ex[j]:
-            e2 = list(ex)
-            e2[j] -= 1
-            e2[i] += 1
-            k = (tuple(e2), ey)
-            out[k] = out.get(k, Fraction(0)) + c * ex[j]
-        if ey[j]:
-            e2 = list(ey)
-            e2[j] -= 1
-            e2[i] += 1
-            k = (ex, tuple(e2))
-            out[k] = out.get(k, Fraction(0)) + c * ey[j]
-    return BiPoly(F.n, F.bidegree, out)
+    for e, c in F.coeffs.items():
+        for a, b in moves:
+            if e[b]:
+                e2 = list(e)
+                e2[b] -= 1
+                e2[a] += 1
+                k = tuple(e2)
+                out[k] = out.get(k, 0) + c * e[b]
+    return Poly(F.n, F.degree, out)
 
 
 def casimir_apply(F):
     """Quadratic Casimir: Omega F = sum_{i,j} E_ij E_ji F."""
-    n = F.n
-    out = BiPoly(n, F.bidegree)
+    n = F.n // 2
+    out = Poly(F.n, F.degree)
     for j in range(n):
         for i in range(n):
             inner = _e_op(F, j, i)
@@ -169,14 +88,16 @@ def projector_d2(n, d):
 
 def project_isotypic(F, d=None):
     """Project a bidegree-(d,2) element onto its Sigma^{d,2} component."""
-    d = F.bidegree[0] if d is None else d
-    if F.bidegree != (d, 2):
-        raise ValueError(f"bidegree {F.bidegree} is not ({d}, 2)")
-    return projector_d2(F.n, d).apply(F)
+    n = F.n // 2
+    d = F.degree - 2 if d is None else d
+    if F.n % 2 or F.degree != d + 2 or any(
+            sum(e[n:]) != 2 for e in F.coeffs):
+        raise ValueError(f"not of bidegree ({d}, 2) in x, y")
+    return projector_d2(n, d).apply(F)
 
 
 def y_dq(f, q):
-    """Vertical Young multiplication by q applied to f, as a BiPoly."""
+    """Vertical Young multiplication by q applied to f, in x and y."""
     d = f.degree
     if d < 2:
         raise ValueError("y_dq needs degree >= 2")
@@ -184,11 +105,9 @@ def y_dq(f, q):
         raise ValueError("variable-count mismatch")
     n = f.n
     qp = q.as_poly()
-    prod = {}
-    for ex, cx in f.coeffs.items():
-        for ey, cy in qp.coeffs.items():
-            prod[(ex, ey)] = cx * cy
-    return project_isotypic(BiPoly(n, (d, 2), prod))
+    prod = {ex + ey: cx * cy for ex, cx in f.coeffs.items()
+            for ey, cy in qp.coeffs.items()}
+    return project_isotypic(Poly(2 * n, d + 2, prod))
 
 
 def casimir_eigenspace_dims(n, d):
@@ -203,7 +122,7 @@ def casimir_eigenspace_dims(n, d):
     index = {k: i for i, k in enumerate(basis)}
     omega_cols = []
     for k in basis:
-        img = casimir_apply(BiPoly(n, (d, 2), {k: 1}))
+        img = casimir_apply(Poly(2 * n, d + 2, {k: 1}))
         omega_cols.append({index[kk]: c for kk, c in img.coeffs.items()})
     out = {}
     shapes = [(d + 2,), (d + 1, 1), (d, 2)]

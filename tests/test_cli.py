@@ -102,6 +102,41 @@ class TestExitCodes:
         assert "integrity" in err
 
 
+class TestBudgets:
+    @pytest.fixture
+    def heavy(self, monkeypatch):
+        """Each command's heavy function, patched to fail if it is called."""
+        from liouville import cech, killing, young_map
+
+        fns = {"cech": (cech, "punctured_affine_table"),
+               "ydq": (young_map, "kernel_cokernel_dims"),
+               "killing": (killing, "ck_kernel")}
+        for cmd, (mod, name) in fns.items():
+            monkeypatch.setattr(
+                mod, name, lambda *a, _name=name, **k: pytest.fail(_name))
+        return lambda cmd, result: monkeypatch.setattr(
+            *fns[cmd], lambda *a, **k: result)
+
+    @pytest.mark.parametrize("argv", [
+        ["cech", "--n", "10", "--box", "5"],
+        ["ydq", "--n", "12", "--d", "9"],
+        ["killing", "--n", "15", "--d", "6"],
+    ], ids=["cech", "ydq", "killing"])
+    def test_refused_before_any_work(self, capsys, heavy, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert f"{argv[0].upper()}_BUDGET" in err
+
+    @pytest.mark.parametrize("argv,result", [
+        (["cech", "--n", "4", "--box", "3"], ([], {})),
+        (["ydq", "--n", "7", "--d", "4"], (0, 0)),
+        (["killing", "--n", "6", "--d", "5"], []),
+    ], ids=["cech", "ydq", "killing"])
+    def test_admits_larger_sizes(self, capsys, heavy, argv, result):
+        heavy(argv[0], result)
+        assert run(capsys, *argv)[0] == 0
+
+
 class TestReproducibility:
     def test_byte_identical_output(self, capsys):
         a = run(capsys, "reconf", "--n", "3", "--dmax", "5")

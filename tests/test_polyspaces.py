@@ -99,6 +99,23 @@ class TestHarmonicDim:
             assert laplacian_q(f, q).is_zero()
 
 
+class TestSubstitute:
+    def test_rejects_wrong_number_of_forms(self):
+        f = Poly(3, 2, {(1, 1, 0): 1})
+        with pytest.raises(ValueError):
+            f.substitute([Poly.variable(2, 0), Poly.variable(2, 1)])
+
+    def test_rejects_forms_in_different_rings(self):
+        f = Poly(2, 1, {(1, 0): 1})
+        with pytest.raises(ValueError):
+            f.substitute([Poly.variable(2, 0), Poly.variable(3, 0)])
+
+    def test_swap_of_variables(self):
+        f = Poly(2, 3, {(2, 1): 3, (0, 3): -1})
+        swap = [Poly.variable(2, 1), Poly.variable(2, 0)]
+        assert f.substitute(swap) == Poly(2, 3, {(1, 2): 3, (3, 0): -1})
+
+
 class TestRestrictToPlane:
     def test_coordinate_plane(self):
         f = Poly(3, 2, {(2, 0, 0): 1})

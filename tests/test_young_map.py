@@ -12,7 +12,7 @@ def power_of_linear_form(n, d):
     """(x_1)^d (y_1)^2: the highest-weight vector of the S^{d+2} piece."""
     ex = (d,) + (0,) * (n - 1)
     ey = (2,) + (0,) * (n - 1)
-    return ym.BiPoly(n, (d, 2), {(ex, ey): 1})
+    return Poly(2 * n, d + 2, {ex + ey: 1})
 
 
 class TestCasimir:
@@ -25,7 +25,7 @@ class TestCasimir:
                 assert ym.casimir_apply(F) == F.scale((d + 2) * (d + n + 1))
 
     def test_linearity_on_zero(self):
-        F = ym.BiPoly(3, (4, 2))
+        F = Poly(6, 6)
         assert ym.casimir_apply(F).is_zero()
 
     def test_scalar_table(self):
@@ -63,9 +63,20 @@ class TestProjector:
     def test_idempotent_directly(self, n, dmax):
         for d in range(2, dmax + 1):
             for key in ym.bipoly_basis(n, d, 2):
-                v = ym.BiPoly(n, (d, 2), {key: 1})
+                v = Poly(2 * n, d + 2, {key: 1})
                 once = ym.project_isotypic(v)
                 assert ym.project_isotypic(once) == once
+
+    def test_rejects_wrong_y_degree(self):
+        # x_1^3 y_1^3 at n = 3 has total degree 6 but bidegree (3, 3)
+        F = Poly(6, 6, {(3, 0, 0, 3, 0, 0): 1})
+        with pytest.raises(ValueError):
+            ym.project_isotypic(F)
+
+    def test_rejects_disagreeing_d(self):
+        F = power_of_linear_form(3, 3)
+        with pytest.raises(ValueError):
+            ym.project_isotypic(F, d=4)
 
     def test_annihilates_symmetrization(self):
         for n in (2, 3, 4):
@@ -81,7 +92,7 @@ class TestProjector:
             basis = ym.bipoly_basis(n, d, 2)
             trace = Fraction(0)
             for key in basis:
-                img = ym.project_isotypic(ym.BiPoly(n, (d, 2), {key: 1}))
+                img = ym.project_isotypic(Poly(2 * n, d + 2, {key: 1}))
                 trace += img.coeffs.get(key, Fraction(0))
             assert trace == weyl_dim(pad((d, 2), n))
 
@@ -136,9 +147,11 @@ class TestYdq:
             coeffs = {e: Fraction(rng.randint(-3, 3))
                       for e in monomials(n, d)}
             f = Poly(n, d, coeffs)
-            f_rot = rotate_poly(f, R)
+            f_rot = f.substitute(linear_forms(R, n))
             lhs = ym.y_dq(f_rot, q)
-            rhs = ym.y_dq(f, q).substitute(R)
+            # x -> R x and y -> R y: the block forms of R + R
+            block = linear_forms(R, 2 * n) + linear_forms(R, 2 * n, shift=n)
+            rhs = ym.y_dq(f, q).substitute(block)
             assert lhs == rhs
 
 
@@ -166,19 +179,11 @@ def cayley_rotation(n, rng):
         return R
 
 
-def rotate_poly(f, R):
-    """f(R x) by substituting each variable with a linear form."""
-    n = f.n
-    lin = [Poly(n, 1, {tuple(int(k == j) for k in range(n)): R[i][j]
-                       for j in range(n)}) for i in range(n)]
-    out = Poly(n, f.degree)
-    for e, c in f.coeffs.items():
-        term = Poly(n, 0, {(0,) * n: c})
-        for i in range(n):
-            for _ in range(e[i]):
-                term = term * lin[i]
-        out = out + term
-    return out
+def linear_forms(R, width, shift=0):
+    """z_i -> sum_j R[i][j] z_{shift + j}, as linear Polys in `width` vars."""
+    n = len(R)
+    return [Poly(width, 1, {tuple(int(k == shift + j) for k in range(width)):
+                            R[i][j] for j in range(n)}) for i in range(n)]
 
 
 class TestSymmetrizerOracle:
