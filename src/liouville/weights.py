@@ -92,6 +92,8 @@ def pieri_sym(lam, k):
 
 def sym_dim(n, d):
     """dim S^d(C^n), as a weight computation."""
+    if d < 0:
+        return 0
     return weyl_dim(pad((d,), n)) if d > 0 else 1
 
 

@@ -2,7 +2,9 @@
 
 Sigma^{d,2} is realized inside the polynomials in 2n variables (x, y),
 x_1..x_n then y_1..y_n, of bidegree (d,2), as an isotypic component cut
-out by a quadratic-Casimir polynomial projector. The map itself sends
+out by a quadratic-Casimir polynomial projector. The gl_n Casimir is
+applied through the two gl_2 polarizations x -> y and y -> x (Capelli
+identity), not as a sum of n^2 operators E_ij E_ji. The map itself sends
 f to the projection of f(x)*q(y). A Young-symmetrizer realization in
 V^{tensor (d+2)} is kept as a small-scale independent oracle.
 """
@@ -21,33 +23,39 @@ def bipoly_basis(n, d, e):
     return [ex + ey for ex in monomials(n, d) for ey in monomials(n, e)]
 
 
-def _e_op(F, i, j):
-    """E_ij F where E_ij = x_i d/dx_j + y_i d/dy_j."""
+def _polarize(F, a, b):
+    """Polarization sum_i z^a_i d/dz^b_i, where z^0 = x and z^1 = y."""
     n = F.n // 2
-    moves = ((i, j), (n + i, n + j))
     out = {}
     for e, c in F.coeffs.items():
-        for a, b in moves:
-            if e[b]:
+        for i in range(n):
+            k = e[b * n + i]
+            if k:
                 e2 = list(e)
-                e2[b] -= 1
-                e2[a] += 1
-                k = tuple(e2)
-                out[k] = out.get(k, 0) + c * e[b]
+                e2[b * n + i] -= 1
+                e2[a * n + i] += 1
+                key = tuple(e2)
+                out[key] = out.get(key, 0) + c * k
     return Poly(F.n, F.degree, out)
 
 
 def casimir_apply(F):
-    """Quadratic Casimir: Omega F = sum_{i,j} E_ij E_ji F."""
+    """Quadratic Casimir Omega = sum_{i,j} E_ij E_ji of gl_n on (x, y).
+
+    Here E_ij = x_i d/dx_j + y_i d/dy_j. By the Capelli identity for the
+    (GL_n, GL_2) pair, Omega acts on a term of bidegree (d, e) as
+    d^2 + e^2 + (n-1)d + (n-3)e + 2 L R, with the polarizations
+    R = sum_i x_i d/dy_i and L = sum_i y_i d/dx_i; the symmetric form
+    L R + R L needs only one order because [R, L] = d - e.
+    """
     n = F.n // 2
-    out = Poly(F.n, F.degree)
-    for j in range(n):
-        for i in range(n):
-            inner = _e_op(F, j, i)
-            if inner.is_zero():
-                continue
-            out = out + _e_op(inner, i, j)
-    return out
+    out = {k: 2 * c for k, c in
+           _polarize(_polarize(F, 0, 1), 1, 0).coeffs.items()}
+    for k, c in F.coeffs.items():
+        d, e = sum(k[:n]), sum(k[n:])
+        out[k] = out.get(k, 0) + (d * d + e * e + (n - 1) * d
+                                  + (n - 3) * e) * c
+    return Poly(F.n, F.degree, out)
 
 
 def casimir_scalar(lam, n):
@@ -56,44 +64,26 @@ def casimir_scalar(lam, n):
     return sum(x * (x + n + 1 - 2 * (i + 1)) for i, x in enumerate(lam))
 
 
-class IsotypicProjector:
-    """Polynomial-in-Casimir projector onto one isotypic component."""
-
-    def __init__(self, n, target, competitors):
-        self.n = n
-        self.target = pad(target, n)
-        self.competitors = [pad(m, n) for m in competitors]
-        c_t = casimir_scalar(self.target, n)
-        scalars = [casimir_scalar(m, n) for m in self.competitors]
-        if len(set(scalars + [c_t])) != len(scalars) + 1:
-            raise ValueError("Casimir scalars collide; projector undefined")
-        self.scalars = scalars
-        self.c_target = c_t
-
-    def apply(self, F):
-        for c_mu in self.scalars:
-            F = (casimir_apply(F) - F.scale(c_mu)).scale(
-                Fraction(1, self.c_target - c_mu)
-            )
-        return F
-
-
-def projector_d2(n, d):
-    """Projector onto Sigma^{d,2} inside bidegree (d,2); d >= 2, n >= 2."""
-    if d < 2:
-        raise ValueError("shape (d,2) needs d >= 2")
-    competitors = [(d + 2,), (d + 1, 1)] if n >= 2 else [(d + 2,)]
-    return IsotypicProjector(n, (d, 2), competitors)
-
-
 def project_isotypic(F, d=None):
-    """Project a bidegree-(d,2) element onto its Sigma^{d,2} component."""
+    """Project a bidegree-(d,2) element onto its Sigma^{d,2} component.
+
+    S^d x S^2 has the Pieri constituents (d+2), (d+1, 1) and (d, 2); one
+    step (Omega - c_mu) / (c_{(d,2)} - c_mu) removes each mu of the first
+    two. Their scalars differ from c_{(d,2)} by 4d+4 and 2d, never 0.
+    """
     n = F.n // 2
     d = F.degree - 2 if d is None else d
     if F.n % 2 or F.degree != d + 2 or any(
             sum(e[n:]) != 2 for e in F.coeffs):
         raise ValueError(f"not of bidegree ({d}, 2) in x, y")
-    return projector_d2(n, d).apply(F)
+    if d < 2:
+        raise ValueError("shape (d,2) needs d >= 2")
+    c_target = casimir_scalar((d, 2), n)
+    for mu in ((d + 2,), (d + 1, 1)):
+        c_mu = casimir_scalar(mu, n)
+        F = (casimir_apply(F) - F.scale(c_mu)).scale(
+            Fraction(1, c_target - c_mu))
+    return F
 
 
 def y_dq(f, q):

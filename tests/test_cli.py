@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "selftest")
         assert code == 2
         assert "integrity" in err
+
+    def test_failed_selftest_check_is_2_under_optimize(self):
+        # python -O strips asserts; the integrity checks must not be asserts
+        script = ("import sys\n"
+                  "from liouville import cli, young_map\n"
+                  "young_map.kernel_cokernel_dims = lambda n, d: (1, 1)\n"
+                  "sys.exit(cli.run(['selftest']))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "y_dq at n=2, d=2 has ker=1" in proc.stderr
 
 
 class TestBudgets:

@@ -1,4 +1,5 @@
-"""Hypothesis properties of substitution, the projector and Cech slices."""
+"""Hypothesis properties of substitution, the Casimir, the projector and
+Cech slices."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +42,50 @@ def test_substitute_is_a_ring_map(case):
         f.substitute(forms) + g.substitute(forms)
     identity = [Poly.variable(f.n, i) for i in range(f.n)]
     assert f.substitute(identity) == f
+
+
+def _e_op(F, i, j):
+    """E_ij F, where E_ij = x_i d/dx_j + y_i d/dy_j."""
+    n = F.n // 2
+    out = {}
+    for e, c in F.coeffs.items():
+        for a, b in ((i, j), (n + i, n + j)):
+            if e[b]:
+                e2 = list(e)
+                e2[b] -= 1
+                e2[a] += 1
+                k = tuple(e2)
+                out[k] = out.get(k, 0) + c * e[b]
+    return Poly(F.n, F.degree, out)
+
+
+def casimir_by_e_ops(F):
+    """Reference Casimir: the n^2 operators E_ij E_ji, summed."""
+    n = F.n // 2
+    out = Poly(F.n, F.degree)
+    for i in range(n):
+        for j in range(n):
+            out = out + _e_op(_e_op(F, j, i), i, j)
+    return out
+
+
+@st.composite
+def bipolys(draw):
+    """Zero, one bidegree (d, e) or a sum of two, in 2n variables."""
+    n, total = draw(st.integers(2, 5)), draw(st.integers(0, 5))
+    F = Poly(2 * n, total)
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(0, total))
+        basis = ym.bipoly_basis(n, d, total - d)
+        F = F + Poly(2 * n, total, draw(st.dictionaries(
+            st.sampled_from(basis), small, min_size=1, max_size=4)))
+    return F
+
+
+@bounded(100)
+@given(bipolys())
+def test_capelli_casimir_matches_e_ops(F):
+    assert ym.casimir_apply(F) == casimir_by_e_ops(F)
 
 
 @st.composite

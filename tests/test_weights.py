@@ -39,6 +39,11 @@ class TestWeylDim:
         for d in range(11):
             assert weyl_dim(pad((d,), n)) == comb(n + d - 1, d)
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_sym_dim_vanishes_below_degree_0(self, n):
+        assert weights.sym_dim(n, 0) == 1
+        assert weights.sym_dim(n, -1) == weights.sym_dim(n, -3) == 0
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exterior_powers_are_binomials(self, n):
         for p in range(n + 1):

@@ -55,9 +55,11 @@ class TestCasimir:
 
 
 class TestProjector:
-    def test_collision_guard(self):
+    def test_rejects_d_below_2(self):
+        # x_1 y_1^2 at n = 3 has bidegree (1, 2): no shape (1, 2)
+        F = Poly(6, 3, {(1, 0, 0, 2, 0, 0): 1})
         with pytest.raises(ValueError):
-            ym.IsotypicProjector(3, (2, 2), [(2, 2)])
+            ym.project_isotypic(F)
 
     @pytest.mark.parametrize("n,dmax", [(2, 4), (3, 3)])
     def test_idempotent_directly(self, n, dmax):
