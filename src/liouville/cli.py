@@ -82,11 +82,11 @@ def cmd_cech(args):
 def cmd_ydq(args):
     _within_budget("YDQ_BUDGET", YDQ_BUDGET,
                    _sym_dim(args.n, args.d) * _sym_dim(args.n, 2))
+    if args.oracle and (args.n > 3 or args.n ** (args.d + 2) > 243):
+        raise ValueError("oracle out of range for these parameters")
     ker, coker = young_map.kernel_cokernel_dims(args.n, args.d)
     payload = {"n": args.n, "d": args.d, "ker": ker, "coker": coker}
     if args.oracle:
-        if args.n > 3 or args.n ** (args.d + 2) > 243:
-            raise ValueError("oracle out of range for these parameters")
         rank_sym, rank_y = young_map.young_symmetrizer_oracle(
             (args.d, 2), args.n)
         oracle_ker = weights.sym_dim(args.n, args.d) - rank_y

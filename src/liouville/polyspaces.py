@@ -171,15 +171,14 @@ class QuadraticForm:
     def as_poly(self):
         """q as the polynomial z^T A z."""
         out = {}
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                e = [0] * n
-                e[i] += 1
-                e[j] += 1
-                e = tuple(e)
-                out[e] = out.get(e, Fraction(0)) + self.matrix[i][j]
-        return Poly(n, 2, out)
+        for i, row in enumerate(self.matrix):
+            for j in range(i, self.n):
+                if row[j]:
+                    e = [0] * self.n
+                    e[i] += 1
+                    e[j] += 1
+                    out[tuple(e)] = row[j] if i == j else 2 * row[j]
+        return Poly(self.n, 2, out)
 
     def restrict(self, e1, e2):
         """2 x 2 Gram matrix of q on the plane spanned by e1, e2."""

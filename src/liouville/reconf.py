@@ -10,7 +10,7 @@ from . import bott, killing, young_map
 from .weights import pad, weyl_dim
 
 # exact rank recomputation is enforced inside this envelope
-EXACT_RANGE = {3: 6, 4: 5, 5: 3}
+EXACT_RANGE = {3: 8, 4: 7, 5: 5, 6: 4}
 
 
 def coker_dim_formula(n, d):

@@ -2,9 +2,9 @@
 
 Sigma^{d,2} is realized inside the polynomials in 2n variables (x, y),
 x_1..x_n then y_1..y_n, of bidegree (d,2), as an isotypic component cut
-out by a quadratic-Casimir polynomial projector. The gl_n Casimir is
-applied through the two gl_2 polarizations x -> y and y -> x (Capelli
-identity), not as a sum of n^2 operators E_ij E_ji. The map itself sends
+out by a quadratic-Casimir polynomial projector: one integer Casimir
+kernel through the gl_2 polarizations (Capelli identity), not a sum of
+n^2 operators E_ij E_ji, with denominators cleared once. The map sends
 f to the projection of f(x)*q(y). A Young-symmetrizer realization in
 V^{tensor (d+2)} is kept as a small-scale independent oracle.
 """
@@ -12,6 +12,7 @@ V^{tensor (d+2)} is kept as a small-scale independent oracle.
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from . import linalg, polyspaces
 from .polyspaces import Poly, QuadraticForm, monomials
@@ -23,39 +24,44 @@ def bipoly_basis(n, d, e):
     return [ex + ey for ex in monomials(n, d) for ey in monomials(n, e)]
 
 
-def _polarize(F, a, b):
-    """Polarization sum_i z^a_i d/dz^b_i, where z^0 = x and z^1 = y."""
-    n = F.n // 2
+def _omega_term(k, n):
+    """Omega on the monomial x^a y^b (k = a + b), as {exponents: int}.
+
+    Omega = sum_{i,j} E_ij E_ji, E_ij = x_i d/dx_j + y_i d/dy_j. By the
+    Capelli identity for the (GL_n, GL_2) pair it is, on bidegree (d, e),
+    d^2 + e^2 + (n-1)d + (n-3)e + 2 L R with R = sum_i x_i d/dy_i and
+    L = sum_i y_i d/dx_i (one order suffices, as [R, L] = d - e). L R
+    moves y_i -> x_i, then x_j -> y_j; i = j gives b_i (a_i + 1) x^a y^b.
+    """
+    a, b = k[:n], k[n:]
+    d, e = sum(a), sum(b)
+    out = {k: d * d + e * e + (n - 1) * d + (n - 3) * e
+           + 2 * sum(bi * (ai + 1) for ai, bi in zip(a, b))}
+    for i in range(n):
+        for j in range(n):
+            if b[i] and a[j] and i != j:
+                m = list(k)
+                m[i] += 1
+                m[j] -= 1
+                m[n + i] -= 1
+                m[n + j] += 1
+                out[tuple(m)] = 2 * b[i] * a[j]
+    return out
+
+
+def _omega(coeffs, n, shift=0):
+    """(Omega - shift) on a coefficient dict {exponents: c}, zeros dropped."""
     out = {}
-    for e, c in F.coeffs.items():
-        for i in range(n):
-            k = e[b * n + i]
-            if k:
-                e2 = list(e)
-                e2[b * n + i] -= 1
-                e2[a * n + i] += 1
-                key = tuple(e2)
-                out[key] = out.get(key, 0) + c * k
-    return Poly(F.n, F.degree, out)
+    for k, c in coeffs.items():
+        out[k] = out.get(k, 0) - shift * c
+        for m, w in _omega_term(k, n).items():
+            out[m] = out.get(m, 0) + w * c
+    return {m: c for m, c in out.items() if c}
 
 
 def casimir_apply(F):
-    """Quadratic Casimir Omega = sum_{i,j} E_ij E_ji of gl_n on (x, y).
-
-    Here E_ij = x_i d/dx_j + y_i d/dy_j. By the Capelli identity for the
-    (GL_n, GL_2) pair, Omega acts on a term of bidegree (d, e) as
-    d^2 + e^2 + (n-1)d + (n-3)e + 2 L R, with the polarizations
-    R = sum_i x_i d/dy_i and L = sum_i y_i d/dx_i; the symmetric form
-    L R + R L needs only one order because [R, L] = d - e.
-    """
-    n = F.n // 2
-    out = {k: 2 * c for k, c in
-           _polarize(_polarize(F, 0, 1), 1, 0).coeffs.items()}
-    for k, c in F.coeffs.items():
-        d, e = sum(k[:n]), sum(k[n:])
-        out[k] = out.get(k, 0) + (d * d + e * e + (n - 1) * d
-                                  + (n - 3) * e) * c
-    return Poly(F.n, F.degree, out)
+    """Quadratic Casimir of gl_n on a Poly F in (x, y); see _omega_term."""
+    return Poly(F.n, F.degree, _omega(F.coeffs, F.n // 2))
 
 
 def casimir_scalar(lam, n):
@@ -67,9 +73,9 @@ def casimir_scalar(lam, n):
 def project_isotypic(F, d=None):
     """Project a bidegree-(d,2) element onto its Sigma^{d,2} component.
 
-    S^d x S^2 has the Pieri constituents (d+2), (d+1, 1) and (d, 2); one
-    step (Omega - c_mu) / (c_{(d,2)} - c_mu) removes each mu of the first
-    two. Their scalars differ from c_{(d,2)} by 4d+4 and 2d, never 0.
+    S^d x S^2 has the Pieri constituents (d+2), (d+1, 1) and (d, 2). On
+    F with its denominators cleared, one integer step Omega - c_mu removes
+    each mu of the first two; c_{(d,2)} - c_mu = 4d+4, 2d is divided once.
     """
     n = F.n // 2
     d = F.degree - 2 if d is None else d
@@ -78,12 +84,12 @@ def project_isotypic(F, d=None):
         raise ValueError(f"not of bidegree ({d}, 2) in x, y")
     if d < 2:
         raise ValueError("shape (d,2) needs d >= 2")
-    c_target = casimir_scalar((d, 2), n)
+    den = lcm(*(c.denominator for c in F.coeffs.values()))
+    G = {k: c.numerator * (den // c.denominator) for k, c in F.coeffs.items()}
     for mu in ((d + 2,), (d + 1, 1)):
-        c_mu = casimir_scalar(mu, n)
-        F = (casimir_apply(F) - F.scale(c_mu)).scale(
-            Fraction(1, c_target - c_mu))
-    return F
+        G = _omega(G, n, casimir_scalar(mu, n))
+    K = den * (4 * d + 4) * 2 * d
+    return Poly(F.n, F.degree, {k: Fraction(c, K) for k, c in G.items()})
 
 
 def y_dq(f, q):
@@ -93,11 +99,10 @@ def y_dq(f, q):
         raise ValueError("y_dq needs degree >= 2")
     if f.n != q.n:
         raise ValueError("variable-count mismatch")
-    n = f.n
     qp = q.as_poly()
     prod = {ex + ey: cx * cy for ex, cx in f.coeffs.items()
             for ey, cy in qp.coeffs.items()}
-    return project_isotypic(Poly(2 * n, d + 2, prod))
+    return project_isotypic(Poly(2 * f.n, d + 2, prod))
 
 
 def casimir_eigenspace_dims(n, d):
@@ -110,35 +115,31 @@ def casimir_eigenspace_dims(n, d):
     """
     basis = bipoly_basis(n, d, 2)
     index = {k: i for i, k in enumerate(basis)}
-    omega_cols = []
-    for k in basis:
-        img = casimir_apply(Poly(2 * n, d + 2, {k: 1}))
-        omega_cols.append({index[kk]: c for kk, c in img.coeffs.items()})
+    omega = [{index[m]: c for m, c in _omega({k: 1}, n).items()}
+             for k in basis]
     out = {}
-    shapes = [(d + 2,), (d + 1, 1), (d, 2)]
-    for lam in shapes:
+    for lam in [(d + 2,), (d + 1, 1), (d, 2)]:
         lam_p = pad(lam, n)
         if lam_p != tuple(sorted(lam_p, reverse=True)):
             continue
         c = casimir_scalar(lam_p, n)
-        shifted = []
-        for j, col in enumerate(omega_cols):
-            col2 = dict(col)
-            col2[j] = col2.get(j, Fraction(0)) - c
-            shifted.append(col2)
+        shifted = [{**col, j: col.get(j, 0) - c}
+                   for j, col in enumerate(omega)]
         out[lam_p] = len(basis) - linalg.rank_sparse(shifted)
     return out
 
 
 def y_dq_columns(n, d, q=None):
-    """Sparse columns of y_dq : S^d -> bidegree-(d,2) space."""
+    """Sparse int columns of y_dq : S^d -> bidegree-(d,2) space, each
+    K y_dq(f, q) for one K = den (4d+4)(2d), den the lcm of the
+    denominators of q's matrix, so rank and kernel are those of y_dq."""
     q = q if q is not None else QuadraticForm.standard(n)
+    K = lcm(*(x.denominator for r in q.matrix for x in r)) * 8 * d * (d + 1)
     src = monomials(n, d)
     index = {k: i for i, k in enumerate(bipoly_basis(n, d, 2))}
-    cols = []
-    for e in src:
-        img = y_dq(Poly.monomial(n, e), q)
-        cols.append({index[k]: c for k, c in img.coeffs.items()})
+    cols = [{index[k]: c.numerator * (K // c.denominator)
+             for k, c in y_dq(Poly.monomial(n, e), q).coeffs.items()}
+            for e in src]
     return cols, src
 
 

@@ -1,0 +1,43 @@
+"""The traced benchmark run looks up each public function it wraps by
+name, so a rename in the package must show up here, not as a crash of
+`bench/run.py --trace 1`; and its per-layer counts are only as good as
+the hot path's calls through those names."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = load_tracing()
+TRACED = tracing.TRACED
+
+
+@pytest.mark.parametrize("module", sorted(TRACED))
+def test_every_traced_name_resolves(module):
+    mod = importlib.import_module(f"liouville.{module}")
+    missing = [fn for fn in TRACED[module]
+               if not callable(getattr(mod, fn, None))]
+    assert not missing, f"liouville.{module} lacks {missing}"
+
+
+def test_every_column_goes_through_traced_y_dq():
+    # the traced run charges the projector's work to y_dq only if the
+    # column builder calls it once per column of S^3 (10 at n = 3)
+    for module in TRACED:
+        importlib.import_module(f"liouville.{module}")
+    from liouville import young_map
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        young_map.y_dq_columns(3, 3)
+    assert tracing.layer_metrics(tracer.spans)["young_map.y_dq.calls"] == 10

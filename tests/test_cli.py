@@ -144,6 +144,12 @@ class TestBudgets:
         assert code == 1
         assert f"{argv[0].upper()}_BUDGET" in err
 
+    def test_oracle_refused_before_any_work(self, capsys, heavy):
+        # 4^4 tensor words exceed the oracle's 243: no rank is computed
+        code, _, err = run(capsys, "ydq", "--n", "4", "--d", "2", "--oracle")
+        assert code == 1
+        assert "oracle out of range" in err
+
     @pytest.mark.parametrize("argv,result", [
         (["cech", "--n", "4", "--box", "3"], ([], {})),
         (["ydq", "--n", "7", "--d", "4"], (0, 0)),

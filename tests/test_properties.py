@@ -1,10 +1,13 @@
-"""Hypothesis properties of substitution, the Casimir, the projector and
-Cech slices."""
+"""Hypothesis properties of substitution, the Casimir, the projector, the
+integer y_dq columns and Cech slices."""
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import assume, given, settings, strategies as st
 
 from liouville import cech, young_map as ym
-from liouville.polyspaces import Poly, monomials
+from liouville.polyspaces import Poly, QuadraticForm, monomials
 
 small = st.integers(-3, 3).filter(bool)
 
@@ -101,6 +104,64 @@ def bidegree_d2(draw):
 def test_projector_is_idempotent(F):
     once = ym.project_isotypic(F)
     assert ym.project_isotypic(once) == once
+
+
+@st.composite
+def fraction_forms(draw):
+    """n, d, a nondegenerate symmetric form with rational entries (small
+    denominators) and a nonzero off-diagonal entry, and one column to
+    check against the E_ij reference."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = draw(entry)
+    mat[0][1] = mat[1][0] = draw(entry.filter(bool))
+    try:
+        q = QuadraticForm(mat)
+    except ValueError:
+        assume(False)
+    pick = draw(st.integers(0, len(monomials(n, d)) - 1))
+    return n, d, q, pick
+
+
+def y_dq_by_e_ops(e, q):
+    """Reference y_dq(x^e, q): x^e q(y) from q's matrix, then the two
+    Casimir steps of the projector with the E_ij reference Casimir."""
+    n, d = q.n, sum(e)
+    F = Poly(2 * n, d + 2)
+    for i in range(n):
+        for j in range(n):
+            ey = [0] * n
+            ey[i] += 1
+            ey[j] += 1
+            F = F + Poly(2 * n, d + 2, {e + tuple(ey): q.matrix[i][j]})
+    c_target = ym.casimir_scalar((d, 2), n)
+    for mu in ((d + 2,), (d + 1, 1)):
+        c_mu = ym.casimir_scalar(mu, n)
+        F = (casimir_by_e_ops(F) - F.scale(c_mu)).scale(
+            Fraction(1, c_target - c_mu))
+    return F
+
+
+@bounded(15)
+@given(fraction_forms())
+def test_int_columns_are_one_multiple_of_y_dq(case):
+    """Every y_dq_columns column is K * y_dq(x^e, q), one K for all, and
+    the picked one is K times the E_ij reference projection."""
+    n, d, q, pick = case
+    cols, src = ym.y_dq_columns(n, d, q)
+    index = {k: i for i, k in enumerate(ym.bipoly_basis(n, d, 2))}
+    den = lcm(*(x.denominator for row in q.matrix for x in row))
+    K = den * (4 * d + 4) * (2 * d)
+    assert src == monomials(n, d)
+    for e, col in zip(src, cols):
+        assert all(type(v) is int for v in col.values())
+        img = ym.y_dq(Poly.monomial(n, e), q)
+        assert col == {index[k]: K * c for k, c in img.coeffs.items()}
+    ref = y_dq_by_e_ops(src[pick], q)
+    assert cols[pick] == {index[k]: K * c for k, c in ref.coeffs.items()}
 
 
 @st.composite

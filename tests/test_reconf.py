@@ -49,6 +49,15 @@ class TestTable:
             assert all(b > a for a, b in zip(vals, vals[1:]))
             assert all(v >= 0 for v in vals)
 
+    @pytest.mark.parametrize("n", sorted(reconf.EXACT_RANGE))
+    def test_exact_range_is_certified(self, n):
+        # every h1_entry up to EXACT_RANGE[n] recomputes its exact rank and
+        # raises ArithmeticError if it disagrees with the formula
+        dmax = reconf.EXACT_RANGE[n]
+        table = reconf.reconf_table(n, dmax)
+        assert [table[d]["h1"] for d in range(2, dmax + 1)] == \
+            [reconf.coker_dim_formula(n, d) for d in range(2, dmax + 1)]
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             reconf.reconf_table(2, 5)

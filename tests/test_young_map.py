@@ -69,6 +69,20 @@ class TestProjector:
                 once = ym.project_isotypic(v)
                 assert ym.project_isotypic(once) == once
 
+    def test_fraction_input_is_normalized(self):
+        # non-integral coefficients: the one division by (4d+4)(2d) at the
+        # end must give the exact projection, so projecting again fixes it
+        F = Poly(6, 5, {(3, 0, 0, 2, 0, 0): Fraction(2, 7),
+                        (1, 1, 1, 0, 1, 1): Fraction(-5, 3),
+                        (0, 2, 1, 1, 0, 1): Fraction(1, 11)})
+        once = ym.project_isotypic(F)
+        assert not once.is_zero()
+        assert any(c.denominator != 1 for c in once.coeffs.values())
+        assert ym.project_isotypic(once) == once
+        # the two Pieri pieces it removes sum to F - once
+        rest = F - once
+        assert ym.project_isotypic(rest).is_zero()
+
     def test_rejects_wrong_y_degree(self):
         # x_1^3 y_1^3 at n = 3 has total degree 6 but bidegree (3, 3)
         F = Poly(6, 6, {(3, 0, 0, 3, 0, 0): 1})
