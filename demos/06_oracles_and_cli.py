@@ -1,8 +1,10 @@
 """Independent oracles and the command-line surface.
 
 The Young-symmetrizer oracle rebuilds y_2q on honest tensor words (no
-Casimir, no projector) and must agree rank-for-rank. The CLI wraps every
-capability with reproducible JSON output and strict exit codes.
+Casimir, no projector) and must agree rank-for-rank. It keys the rows of
+c_lam by row orbit, builds the sparse c_lam columns once and ranks them
+with linalg.rank_sparse. The CLI wraps every capability with
+reproducible JSON output and strict exit codes.
 """
 
 from liouville import cli, young_map

@@ -155,9 +155,11 @@ class QuadraticForm:
             for j in range(n):
                 if mat[i][j] != mat[j][i]:
                     raise ValueError("matrix must be symmetric")
+        if linalg.rank(mat) < n:
+            raise ValueError("quadratic form is degenerate")
         self.n = n
         self.matrix = mat
-        self._inverse = _invert(mat)  # raises on degeneracy
+        self._inverse = None
 
     @classmethod
     def standard(cls, n):
@@ -166,6 +168,9 @@ class QuadraticForm:
 
     @property
     def inverse(self):
+        """A^{-1}, computed on first use: most forms never need it."""
+        if self._inverse is None:
+            self._inverse = _invert(self.matrix)
         return self._inverse
 
     def as_poly(self):
@@ -239,17 +244,6 @@ def laplacian_columns(n, d, q):
     cols = []
     for e in src:
         img = laplacian_q(Poly.monomial(n, e), q)
-        cols.append({dst[k]: c for k, c in img.coeffs.items()})
-    return cols, src
-
-
-def mult_by_q_columns(n, d, q):
-    """Sparse columns of multiplication by q : S^d -> S^{d+2}."""
-    src = monomials(n, d)
-    dst = {e: i for i, e in enumerate(monomials(n, d + 2))}
-    cols = []
-    for e in src:
-        img = mult_by_q(Poly.monomial(n, e), q)
         cols.append({dst[k]: c for k, c in img.coeffs.items()})
     return cols, src
 

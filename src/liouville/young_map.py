@@ -11,8 +11,8 @@ V^{tensor (d+2)} is kept as a small-scale independent oracle.
 
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import lcm
+from itertools import permutations, product
+from math import factorial, lcm, prod
 
 from . import linalg, polyspaces
 from .polyspaces import Poly, QuadraticForm, monomials
@@ -161,37 +161,38 @@ def kernel_cokernel_dims(n, d, q=None):
 
 # ---------------------------------------------------------------------------
 # Young-symmetrizer oracle (desk-scale tensor realization)
+#
+# c_lam = a_lam b_lam acts on tensor words by permuting slots. Since
+# (a_lam v)[w] = |Stab_R(w)| * (sum of v over the row orbit R.w), every
+# row of c_lam is constant on a row orbit: rows are keyed by orbit and
+# only b_lam's signed column permutations are applied. The sparse c_lam
+# columns are built once per call, applied directly to sym(x^e) tensor q,
+# and both ranks are taken with linalg.rank_sparse.
 # ---------------------------------------------------------------------------
 
-def _shape_cells(lam):
-    return [(r, c) for r, row in enumerate(lam) for c in range(row)]
+def _tableau_slots(lam):
+    """Tensor slots of each row and of each column of lam, row by row."""
+    rows, start = [], 0
+    for length in lam:
+        rows.append(range(start, start + length))
+        start += length
+    cols = [[row[c] for row in rows if c < len(row)] for c in range(lam[0])]
+    return rows, cols
 
 
-def _row_col_groups(lam):
-    """Permutations of tensor slots preserving rows (resp. columns)."""
-    cells = _shape_cells(lam)
-    pos = {cell: i for i, cell in enumerate(cells)}
-    k = len(cells)
-    rows = {}
-    cols = {}
-    for (r, c), i in pos.items():
-        rows.setdefault(r, []).append(i)
-        cols.setdefault(c, []).append(i)
-
-    def group(blocks):
-        perms = [tuple(range(k))]
-        for block in blocks.values():
-            new = []
-            for sigma in permutations(block):
-                for p in perms:
-                    q = list(p)
-                    for slot, tgt in zip(block, sigma):
-                        q[slot] = p[tgt]
-                    new.append(tuple(q))
-            perms = new
-        return perms
-
-    return group(rows), group(cols)
+def _block_perms(blocks, k):
+    """Permutations of k tensor slots that map each block to itself."""
+    perms = [tuple(range(k))]
+    for block in blocks:
+        new = []
+        for sigma in permutations(block):
+            for p in perms:
+                q = list(p)
+                for slot, tgt in zip(block, sigma):
+                    q[slot] = p[tgt]
+                new.append(tuple(q))
+        perms = new
+    return perms
 
 
 def _perm_sign(p):
@@ -212,84 +213,39 @@ def _perm_sign(p):
     return sign
 
 
-def young_symmetrizer_matrix(lam, n):
-    """Matrix of the Young symmetrizer c_lam = a_lam b_lam on V^{tensor k}.
+def _stabilizer_order(orbit):
+    """|Stab_R(w)| for w in the row orbit: prod of m! over repeated letters."""
+    return prod(factorial(row.count(a)) for row in orbit for a in set(row))
 
-    Columns indexed by tensor basis words; guarded to n^k <= 243.
+
+def young_symmetrizer_columns(lam, n):
+    """The Young symmetrizer c_lam = a_lam b_lam on V^{tensor k}.
+
+    Returns {word: column}, one sparse column per tensor basis word. A
+    column is keyed by row orbit, the sorted letters of each tableau row,
+    and holds |Stab_R| times the signed count of b_lam's images of the
+    word in that orbit. Guarded to n^k <= 243.
     """
     lam = tuple(x for x in lam if x)
     k = sum(lam)
     if n ** k > 243:
         raise ValueError("tensor space too large for the oracle")
-    row_perms, col_perms = _row_col_groups(lam)
-    words = _tensor_words(n, k)
-    index = {w: i for i, w in enumerate(words)}
-    dim = len(words)
-    mat = [[0] * dim for _ in range(dim)]
-    signed_cols = [(p, _perm_sign(p)) for p in col_perms]
-    for j, w in enumerate(words):
-        # b_lam then a_lam acting by permuting tensor slots
+    rows, cols = _tableau_slots(lam)
+    signed = [(p, _perm_sign(p)) for p in _block_perms(cols, k)]
+    out = {}
+    for w in product(range(n), repeat=k):
         acc = {}
-        for p, s in signed_cols:
-            w2 = tuple(w[p[i]] for i in range(k))
-            acc[w2] = acc.get(w2, 0) + s
-        for w2, c in acc.items():
-            for p in row_perms:
-                w3 = tuple(w2[p[i]] for i in range(k))
-                mat[index[w3]][j] += c
-    return mat, words
-
-
-def _tensor_words(n, k):
-    words = [()]
-    for _ in range(k):
-        words = [w + (i,) for w in words for i in range(n)]
-    return words
+        for p, s in signed:
+            orbit = tuple(tuple(sorted(w[p[i]] for i in row)) for row in rows)
+            acc[orbit] = acc.get(orbit, 0) + s
+        out[w] = {orbit: c * _stabilizer_order(orbit)
+                  for orbit, c in acc.items() if c}
+    return out
 
 
 def young_symmetrizer_rank(lam, n):
     """Exact rank of the Young symmetrizer on V^{tensor |lam|}."""
-    mat, _ = young_symmetrizer_matrix(lam, n)
-    return linalg.rank(mat)
-
-
-def symmetrizer_ydq_matrix(n, d, q=None):
-    """Oracle realization of y_dq: f -> c_{(d,2)}(sym(f) tensor q).
-
-    Returns the matrix S^d -> V^{tensor (d+2)} (columns over the monomial
-    basis of S^d) for comparison of ranks and kernels with y_dq_columns.
-    """
-    q = q if q is not None else QuadraticForm.standard(n)
-    lam = (d, 2)
-    mat, words = young_symmetrizer_matrix(lam, n)
-    index = {w: i for i, w in enumerate(words)}
-    k = d + 2
-    src = monomials(n, d)
-    # q as a symmetric 2-tensor
-    qt = {}
-    for i in range(n):
-        for j in range(n):
-            if q.matrix[i][j]:
-                qt[(i, j)] = q.matrix[i][j]
-    cols = []
-    for e in src:
-        # symmetrization of the monomial as a tensor: sum over all words
-        # with content e, each with coefficient 1
-        vec = {}
-        for w in _words_with_content(e):
-            for (qi, qj), qc in qt.items():
-                vec_key = w + (qi, qj)
-                vec[vec_key] = vec.get(vec_key, Fraction(0)) + qc
-        col = [Fraction(0)] * len(words)
-        for w, c in vec.items():
-            # apply the symmetrizer column-by-column
-            i = index[w]
-            for r in range(len(words)):
-                if mat[r][i]:
-                    col[r] += c * mat[r][i]
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(len(src))] for i in range(len(words))]
-    return rows, src
+    return linalg.rank_sparse(list(young_symmetrizer_columns(lam, n).values()))
 
 
 def _words_with_content(e):
@@ -300,13 +256,28 @@ def _words_with_content(e):
 
 
 def young_symmetrizer_oracle(lam, n, q=None):
-    """Rank of the symmetrizer; for shape (d,2) also the oracle y-map rank."""
+    """Rank of the symmetrizer; for shape (d,2) also the oracle y-map rank.
+
+    The oracle y-map is f -> c_{(d,2)}(sym(f) tensor q), with q as a
+    symmetric 2-tensor in the last two slots, over the monomials of S^d.
+    """
     lam = tuple(x for x in lam if x)
-    r = young_symmetrizer_rank(lam, n)
+    c_lam = young_symmetrizer_columns(lam, n)
+    r = linalg.rank_sparse(list(c_lam.values()))
     y_rank = None
     if len(lam) == 2 and lam[1] == 2 and lam[0] >= 2:
-        rows, _ = symmetrizer_ydq_matrix(n, lam[0], q)
-        y_rank = linalg.rank(rows)
+        q = q if q is not None else QuadraticForm.standard(n)
+        qt = [((i, j), x) for i, row in enumerate(q.matrix)
+              for j, x in enumerate(row) if x]
+        y_cols = []
+        for e in monomials(n, lam[0]):
+            col = {}
+            for w in _words_with_content(e):
+                for ij, x in qt:
+                    for orbit, c in c_lam[w + ij].items():
+                        col[orbit] = col.get(orbit, 0) + x * c
+            y_cols.append(col)
+        y_rank = linalg.rank_sparse(y_cols)
     return r, y_rank
 
 

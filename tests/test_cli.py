@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,16 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["series"]["2"]["h0"] == [2] * 5
+
+    def test_readme_examples_run(self, capsys):
+        # each `liouville ...` line of the README's CLI block, as written
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [line for line in readme.read_text().splitlines()
+                 if line.startswith("liouville ")]
+        assert lines
+        for line in lines:
+            code, out, err = run(capsys, *shlex.split(line)[1:])
+            assert (code, bool(out.strip())) == (0, True), (line, err)
 
 
 class TestExitCodes:

@@ -16,6 +16,46 @@ def test_quadratic_form_rejects_degenerate_and_asymmetric():
         QuadraticForm([[1, 2], [3, 1]])
 
 
+class TestLazyInverse:
+    def test_standard_form_runs_no_rref(self, monkeypatch):
+        calls = []
+        rref = linalg.rref
+
+        def counted(rows):
+            calls.append(rows)
+            return rref(rows)
+
+        monkeypatch.setattr(linalg, "rref", counted)
+        q = QuadraticForm.standard(5)
+        assert calls == []
+        assert q.inverse == q.matrix
+        assert q.inverse is q.inverse
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("matrix,inverse", [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+         [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ([[1, 0, 0], [0, -2, 0], [0, 0, 3]],
+         [[1, 0, 0], [0, Fraction(-1, 2), 0], [0, 0, Fraction(1, 3)]]),
+        ([[2, Fraction(1, 2)], [Fraction(1, 2), 3]],
+         [[Fraction(12, 23), Fraction(-2, 23)],
+          [Fraction(-2, 23), Fraction(8, 23)]]),
+    ], ids=["standard", "diagonal", "non-diagonal"])
+    def test_inverse_values(self, matrix, inverse):
+        assert QuadraticForm(matrix).inverse == inverse
+
+
+def mult_by_q_columns(n, d, q):
+    """Sparse columns of multiplication by q : S^d -> S^{d+2}."""
+    src = monomials(n, d)
+    dst = {e: i for i, e in enumerate(monomials(n, d + 2))}
+    cols = []
+    for e in src:
+        img = mult_by_q(Poly.monomial(n, e), q)
+        cols.append({dst[k]: c for k, c in img.coeffs.items()})
+    return cols, src
+
+
 class TestMultByQ:
     def test_constant(self):
         q = QuadraticForm.standard(3)
@@ -31,7 +71,7 @@ class TestMultByQ:
         for n in range(1, 6):
             q = QuadraticForm.standard(n)
             for d in range(9):
-                cols, src = polyspaces.mult_by_q_columns(n, d, q)
+                cols, src = mult_by_q_columns(n, d, q)
                 assert linalg.rank_sparse(cols) == len(src)
 
 

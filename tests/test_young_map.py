@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -202,6 +203,54 @@ def linear_forms(R, width, shift=0):
                             R[i][j] for j in range(n)}) for i in range(n)]
 
 
+SHAPES = [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (3, 1), (4, 1), (3, 2),
+          (5,), (2, 2, 1), (3, 1, 1)]
+
+
+def in_range_shapes():
+    """(lam, n) of test_rank_matches_weyl_dim, and every (d,2) the oracle
+    admits (n^(d+2) <= 243)."""
+    out = [(lam, n) for n in (2, 3) for lam in SHAPES
+           if len(lam) <= n and n ** sum(lam) <= 243]
+    out += [((d, 2), n) for n in (2, 3) for d in range(2, 6)
+            if n ** (d + 2) <= 243]
+    return sorted(set(out))
+
+
+def word_level_symmetrizer(lam, n):
+    """Reference c_lam = a_lam b_lam: the full loop over tensor words,
+    signed column permutations and row permutations, with the slot groups
+    found by brute force over all permutations of the k slots.
+
+    Returns {row word: {column word: nonzero entry}}.
+    """
+    cells = [(r, c) for r, length in enumerate(lam) for c in range(length)]
+    k = len(cells)
+
+    def group(axis):
+        return [p for p in permutations(range(k))
+                if all(cells[p[i]][axis] == cells[i][axis] for i in range(k))]
+
+    def sign(p):
+        inversions = sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
+        return (-1) ** inversions
+
+    row_perms = group(0)
+    col_perms = [(p, sign(p)) for p in group(1)]
+    mat = {}
+    for w in product(range(n), repeat=k):
+        acc = {}
+        for p, s in col_perms:
+            w2 = tuple(w[p[i]] for i in range(k))
+            acc[w2] = acc.get(w2, 0) + s
+        for w2, c in acc.items():
+            for p in row_perms:
+                w3 = tuple(w2[p[i]] for i in range(k))
+                row = mat.setdefault(w3, {})
+                row[w] = row.get(w, 0) + c
+    return {w3: {w: c for w, c in row.items() if c} for w3, row in mat.items()}
+
+
 class TestSymmetrizerOracle:
     def test_wedge_rank(self):
         assert ym.young_symmetrizer_rank((1, 1), 3) == 3
@@ -215,23 +264,45 @@ class TestSymmetrizerOracle:
 
     def test_rank_matches_weyl_dim(self):
         for n in (2, 3):
-            for lam in [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (3, 1),
-                        (4, 1), (3, 2), (5,), (2, 2, 1), (3, 1, 1)]:
+            for lam in SHAPES:
                 if len(lam) > n or n ** sum(lam) > 243:
                     continue
                 assert ym.young_symmetrizer_rank(lam, n) == \
                     weyl_dim(pad(lam, n))
 
+    @pytest.mark.parametrize("lam,n", [
+        pytest.param(lam, n, id=f"{'-'.join(map(str, lam))}-n{n}")
+        for lam, n in in_range_shapes()])
+    def test_rows_match_word_level_reference(self, lam, n):
+        # every word-level row of c_lam equals the row of its row orbit,
+        # stabilizer order and b_lam signs included
+        cols = ym.young_symmetrizer_columns(lam, n)
+        reference = word_level_symmetrizer(lam, n)
+        bounds = [sum(lam[:r]) for r in range(len(lam) + 1)]
+        for w3 in product(range(n), repeat=sum(lam)):
+            orbit = tuple(tuple(sorted(w3[a:b]))
+                          for a, b in zip(bounds, bounds[1:]))
+            row = {w: c[orbit] for w, c in cols.items() if orbit in c}
+            assert row == reference.get(w3, {})
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_ydq_oracle_equivalence(self, n):
-        for d in (2, 3):
+        diagonal = [[(1, -2, 3)[i] if i == j else 0 for j in range(n)]
+                    for i in range(n)]
+        non_diagonal = [[Fraction(2 + i) if i == j else Fraction(1, 3)
+                         if abs(i - j) == 1 else 0 for j in range(n)]
+                        for i in range(n)]
+        forms = [QuadraticForm.standard(n), QuadraticForm(diagonal),
+                 QuadraticForm(non_diagonal)]
+        for d in range(2, 6):
             if n ** (d + 2) > 243:
                 continue
-            rank_sym, rank_y = ym.young_symmetrizer_oracle((d, 2), n)
-            ker, coker = ym.kernel_cokernel_dims(n, d)
             dim_sd = len(monomials(n, d))
-            assert dim_sd - rank_y == ker
-            assert rank_sym - rank_y == coker
+            for q in forms:
+                rank_sym, rank_y = ym.young_symmetrizer_oracle((d, 2), n, q)
+                ker, coker = ym.kernel_cokernel_dims(n, d, q)
+                assert dim_sd - rank_y == ker
+                assert rank_sym - rank_y == coker
 
 
 class TestPlaneHarmonicity:
