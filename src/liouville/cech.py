@@ -74,19 +74,19 @@ def closed_form(n, m):
     return out
 
 
-def punctured_affine_table(n, box, check=True):
+def punctured_affine_table(n, box):
     """Slice cohomology over the box |m_i| <= box.
 
     Returns a list of (m, i, dim) rows with dim > 0, sorted, plus totals
-    per total degree. When `check` is set, every slice is compared with
-    the closed form and a mismatch raises.
+    per total degree. Every slice is compared with the closed form and a
+    mismatch raises.
     """
     rows = []
     totals = {}
     for m in product(range(-box, box + 1), repeat=n):
         _, cohom = cech_slice(n, m)
         dims = {i: d for i, d in enumerate(cohom) if d}
-        if check and dims != closed_form(n, m):
+        if dims != closed_form(n, m):
             raise ArithmeticError(
                 f"Cech slice {m} disagrees with the closed form: "
                 f"{dims} vs {closed_form(n, m)}"

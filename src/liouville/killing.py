@@ -1,7 +1,8 @@
 """Conformal Killing fields on flat C^n and the so(n+2) identification.
 
 The conformal Killing operator is the traceless symmetrized gradient
-(with the 2/n trace normalization); its kernel per polynomial degree is
+(with the 2/n trace normalization), on degree-d fields one polynomial of
+bidegree (d - 1, 2) in young_map's (x, y) ring; its kernel per degree is
 computed as an exact nullspace. The degree-(0,1,2) kernel carries the
 usual conformal algebra, which is matched generator-by-generator against
 antisymmetric endomorphisms of C^{n+2} with a split extension of q.
@@ -9,8 +10,9 @@ antisymmetric endomorphisms of C^{n+2} with a split extension of q.
 
 from fractions import Fraction
 
-from . import linalg, polyspaces
+from . import linalg
 from .polyspaces import Poly, QuadraticForm, monomials
+from .young_map import bipoly_basis
 
 
 class PolyVectorField:
@@ -25,20 +27,8 @@ class PolyVectorField:
         self.degree = degs.pop() if degs else 0
         self.components = comps
 
-    @classmethod
-    def zero(cls, n, degree=0):
-        return cls([Poly(n, degree) for _ in range(n)])
-
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
-
-    def __add__(self, other):
-        return PolyVectorField(
-            [a + b for a, b in zip(self.components, other.components)]
-        )
-
-    def scale(self, c):
-        return PolyVectorField([p.scale(c) for p in self.components])
 
     def coeff_vector(self, degree=None):
         """Coefficients over the canonical basis of (S^degree)^n."""
@@ -50,63 +40,64 @@ class PolyVectorField:
         return out
 
 
-def divergence(xi):
-    out = Poly(xi.n, max(xi.degree - 1, 0))
-    for i in range(xi.n):
-        out = out + xi.components[i].diff(i)
-    return out
+def _ck_term(c, e, q, qy):
+    """CK on the unit field x^e d/dx_c, as {(x, y) exponents: coeff}.
+
+    CK(xi) = 2 L(xi_flat) - (2/n) div(xi) q(y), with L = sum_i y_i d/dx_i
+    and xi_flat = sum_j (q xi)_j y_j; here xi_flat = x^e sum_j q_jc y_j
+    and div(xi) = e_c x^(e - 1_c). `qy` is q(y) as {y exponents: coeff}.
+    """
+    n = q.n
+    out = {}
+    for i in range(n):
+        if e[i]:
+            ex = e[:i] + (e[i] - 1,) + e[i + 1:]
+            for j, qjc in enumerate(q.matrix[c]):
+                if qjc:
+                    ey = [0] * n
+                    ey[i] += 1
+                    ey[j] += 1
+                    k = ex + tuple(ey)
+                    out[k] = out.get(k, 0) + 2 * e[i] * qjc
+    if e[c]:
+        ex = e[:c] + (e[c] - 1,) + e[c + 1:]
+        w = Fraction(-2 * e[c], n)
+        for ey, qc in qy.items():
+            k = ex + ey
+            out[k] = out.get(k, 0) + w * qc
+    return {k: v for k, v in out.items() if v}
 
 
 def ck_operator(xi, q=None):
-    """Traceless symmetrized gradient of xi with indices lowered by q.
+    """The conformal Killing operator on xi, as one polynomial in (x, y).
 
-    Returns {(i, j): Poly} over i <= j; xi is conformal Killing iff every
-    entry is zero.
+    CK(xi) = sum_ij T_ij y_i y_j, T the traceless symmetrized gradient of
+    xi with its index lowered by q, is of bidegree (d - 1, 2) for xi of
+    degree d, and zero iff xi is conformal Killing.
     """
     n = xi.n
     q = q if q is not None else QuadraticForm.standard(n)
-    # lower the index: xi_flat_j = sum_k q_jk xi_k
-    flat = []
-    for j in range(n):
-        acc = Poly(n, xi.degree)
-        for k in range(n):
-            if q.matrix[j][k]:
-                acc = acc + xi.components[k].scale(q.matrix[j][k])
-        flat.append(acc)
-    div = divergence(xi)
+    qy = q.as_poly().coeffs
     out = {}
-    for i in range(n):
-        for j in range(i, n):
-            t = flat[j].diff(i) + flat[i].diff(j)
-            tr = div.scale(Fraction(2, n) * q.matrix[i][j])
-            out[(i, j)] = t - tr
-    return out
+    for c, comp in enumerate(xi.components):
+        for e, a in comp.coeffs.items():
+            for k, v in _ck_term(c, e, q, qy).items():
+                out[k] = out.get(k, 0) + a * v
+    return Poly(2 * n, xi.degree + 1, out)
 
 
 def ck_columns(n, d, q=None):
     """Sparse columns of the conformal Killing operator on degree-d fields.
 
-    Columns run over (component, source monomial); rows over the pairs
-    i <= j times the monomials of degree d - 1.
+    Columns run over (component, source monomial); rows over the
+    bidegree-(d - 1, 2) basis of young_map.bipoly_basis.
     """
     q = q if q is not None else QuadraticForm.standard(n)
+    qy = q.as_poly().coeffs
     src = monomials(n, d)
-    out_basis = monomials(n, max(d - 1, 0))
-    index = {e: i for i, e in enumerate(out_basis)}
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    cols = []
-    for comp in range(n):
-        for e in src:
-            field = PolyVectorField(
-                [Poly.monomial(n, e) if k == comp else Poly(n, d)
-                 for k in range(n)]
-            )
-            tensor = ck_operator(field, q)
-            col = {}
-            for p, pair in enumerate(pairs):
-                for m, c in tensor[pair].coeffs.items():
-                    col[p * len(out_basis) + index[m]] = c
-            cols.append(col)
+    index = {k: i for i, k in enumerate(bipoly_basis(n, max(d - 1, 0), 2))}
+    cols = [{index[k]: v for k, v in _ck_term(c, e, q, qy).items()}
+            for c in range(n) for e in src]
     return cols, src
 
 
@@ -320,8 +311,7 @@ def so_np2_isomorphism(n):
     basis = named_conformal_basis(n)
     q = QuadraticForm.standard(n)
     for name, f in basis:
-        tensor = ck_operator(f, q)
-        if any(not p.is_zero() for p in tensor.values()):
+        if not ck_operator(f, q).is_zero():
             raise ArithmeticError(f"{name} is not conformal Killing")
     conf_c = structure_constants(basis)
     so_c = so_structure_constants(n)

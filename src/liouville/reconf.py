@@ -18,16 +18,14 @@ def coker_dim_formula(n, d):
     return weyl_dim(pad((d, 2), n)) - weyl_dim(pad((d,), n))
 
 
-def h1_entry(n, d, exact=None):
+def h1_entry(n, d):
     """Cokernel dimension of y_{d,q}, cross-checked against exact rank.
 
-    `exact` forces (True) or forbids (False) the rank computation; by
-    default ranks are recomputed within EXACT_RANGE and the formula is
-    used beyond it.
+    Ranks are recomputed within EXACT_RANGE; beyond it the dimension
+    formula is used alone.
     """
     formula = coker_dim_formula(n, d)
-    do_exact = exact if exact is not None else d <= EXACT_RANGE.get(n, 0)
-    if do_exact:
+    if d <= EXACT_RANGE.get(n, 0):
         ker, coker = young_map.kernel_cokernel_dims(n, d)
         if ker != 0 or coker != formula:
             raise ArithmeticError(
@@ -38,7 +36,7 @@ def h1_entry(n, d, exact=None):
     return formula
 
 
-def reconf_table(n, dmax, indexing="source", exact=None):
+def reconf_table(n, dmax, indexing="source"):
     """Cohomology table {d: {"h0": dim, "h1": dim}} for degrees 0..dmax.
 
     H^0 sits in degrees 0..2 (the conformal algebra, graded by field
@@ -59,7 +57,7 @@ def reconf_table(n, dmax, indexing="source", exact=None):
         rows[d]["h0"] = gc.get(0, 0)
     shift = 0 if indexing == "source" else 1
     for d in range(2, dmax + 1 - shift):
-        coker = h1_entry(n, d, exact=exact)
+        coker = h1_entry(n, d)
         # cross-check against the LES route (bundle degree d+1)
         les = bott.les_restriction_to_Q(n, d + 1, coker_dim=coker)
         if les.get(1, 0) != coker or set(les) - {1}:

@@ -5,8 +5,6 @@ checked where an operation requires it, never baked into a type, since
 Bott's algorithm needs arbitrary integer weights.
 """
 
-from math import prod
-
 
 def is_dominant(w):
     return all(w[i] >= w[i + 1] for i in range(len(w) - 1))
@@ -23,6 +21,7 @@ def weyl_dim(lam):
     """Dimension of the irreducible GL(n) representation of highest weight lam.
 
     prod over i<j of (lam_i - lam_j + j - i)/(j - i); exact integer.
+    Pairs with lam_i == lam_j give exactly 1 and are skipped.
     """
     lam = check_weight(lam)
     if not is_dominant(lam):
@@ -32,8 +31,9 @@ def weyl_dim(lam):
     den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
+            if lam[i] != lam[j]:
+                num *= lam[i] - lam[j] + j - i
+                den *= j - i
     d, r = divmod(num, den)
     if r:
         raise ArithmeticError(f"Weyl dimension of {lam} is not an integer")

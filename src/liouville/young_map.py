@@ -70,17 +70,15 @@ def casimir_scalar(lam, n):
     return sum(x * (x + n + 1 - 2 * (i + 1)) for i, x in enumerate(lam))
 
 
-def project_isotypic(F, d=None):
+def project_isotypic(F):
     """Project a bidegree-(d,2) element onto its Sigma^{d,2} component.
 
     S^d x S^2 has the Pieri constituents (d+2), (d+1, 1) and (d, 2). On
     F with its denominators cleared, one integer step Omega - c_mu removes
     each mu of the first two; c_{(d,2)} - c_mu = 4d+4, 2d is divided once.
     """
-    n = F.n // 2
-    d = F.degree - 2 if d is None else d
-    if F.n % 2 or F.degree != d + 2 or any(
-            sum(e[n:]) != 2 for e in F.coeffs):
+    n, d = F.n // 2, F.degree - 2
+    if F.n % 2 or any(sum(e[n:]) != 2 for e in F.coeffs):
         raise ValueError(f"not of bidegree ({d}, 2) in x, y")
     if d < 2:
         raise ValueError("shape (d,2) needs d >= 2")

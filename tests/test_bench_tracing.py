@@ -41,3 +41,16 @@ def test_every_column_goes_through_traced_y_dq():
     with tracer.installed():
         young_map.y_dq_columns(3, 3)
     assert tracing.layer_metrics(tracer.spans)["young_map.y_dq.calls"] == 10
+
+
+def test_killing_kernel_traces_one_nullspace():
+    # the traced nullspace stat reads the row keys of ck_columns as
+    # numbers, so a column builder keyed by exponent tuples fails here
+    for module in TRACED:
+        importlib.import_module(f"liouville.{module}")
+    from liouville import killing
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        basis = killing.ck_kernel(3, 2)
+    assert len(basis) == 3
+    assert tracing.layer_metrics(tracer.spans)["linalg.nullspace.calls"] == 1

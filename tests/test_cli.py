@@ -134,11 +134,15 @@ class TestBudgets:
     @pytest.fixture
     def heavy(self, monkeypatch):
         """Each command's heavy function, patched to fail if it is called."""
-        from liouville import cech, killing, young_map
+        from liouville import bott, cech, killing, reconf, young_map
 
         fns = {"cech": (cech, "punctured_affine_table"),
                "ydq": (young_map, "kernel_cokernel_dims"),
-               "killing": (killing, "ck_kernel")}
+               "killing": (killing, "ck_kernel"),
+               "reconf": (reconf, "reconf_table"),
+               "continuity": (reconf, "continuity_report"),
+               "bott": (bott, "bott_cohomology"),
+               "sheaf": (bott, "sdg_cohomology_on_P")}
         for cmd, (mod, name) in fns.items():
             monkeypatch.setattr(
                 mod, name, lambda *a, _name=name, **k: pytest.fail(_name))
@@ -149,7 +153,12 @@ class TestBudgets:
         ["cech", "--n", "10", "--box", "5"],
         ["ydq", "--n", "12", "--d", "9"],
         ["killing", "--n", "15", "--d", "6"],
-    ], ids=["cech", "ydq", "killing"])
+        ["reconf", "--n", "3", "--dmax", "300000"],
+        ["continuity", "--n-range", "2,3", "--dmax", "200"],
+        ["bott", "--weight=" + ",".join(["0"] * 501)],
+        ["sheaf", "--n", "20000", "--d", "1", "--b", "1"],
+    ], ids=["cech", "ydq", "killing", "reconf", "continuity", "bott",
+            "sheaf"])
     def test_refused_before_any_work(self, capsys, heavy, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -165,10 +174,27 @@ class TestBudgets:
         (["cech", "--n", "4", "--box", "3"], ([], {})),
         (["ydq", "--n", "7", "--d", "4"], (0, 0)),
         (["killing", "--n", "6", "--d", "5"], []),
-    ], ids=["cech", "ydq", "killing"])
+        (["reconf", "--n", "3", "--dmax", "200000"], {}),
+        (["continuity", "--n-range", "2", "--dmax", "399"], {}),
+        (["bott", "--weight=" + ",".join(["0"] * 500)], None),
+        (["sheaf", "--n", "10000", "--d", "1", "--b", "1"], {}),
+    ], ids=["cech", "ydq", "killing", "reconf", "continuity", "bott",
+            "sheaf"])
     def test_admits_larger_sizes(self, capsys, heavy, argv, result):
         heavy(argv[0], result)
         assert run(capsys, *argv)[0] == 0
+
+    def test_long_sheaf_weight_is_fast(self):
+        # weyl_dim skips the pairs of equal entries, whose factor is 1; the
+        # flag weight (0, .., 0, -1, -1) of length 1000 has 1996 others
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "liouville.cli", "sheaf", "--n", "1000",
+             "--d", "1", "--b", "1"],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n"] == 1000
 
 
 class TestReproducibility:

@@ -1,5 +1,5 @@
 """Hypothesis properties of substitution, the Casimir, the projector, the
-integer y_dq columns and Cech slices."""
+integer y_dq columns, the conformal Killing operator and Cech slices."""
 
 from fractions import Fraction
 from math import lcm
@@ -7,6 +7,7 @@ from math import lcm
 from hypothesis import assume, given, settings, strategies as st
 
 from liouville import cech, young_map as ym
+from liouville.killing import PolyVectorField, ck_operator
 from liouville.polyspaces import Poly, QuadraticForm, monomials
 
 small = st.integers(-3, 3).filter(bool)
@@ -107,11 +108,9 @@ def test_projector_is_idempotent(F):
 
 
 @st.composite
-def fraction_forms(draw):
-    """n, d, a nondegenerate symmetric form with rational entries (small
-    denominators) and a nonzero off-diagonal entry, and one column to
-    check against the E_ij reference."""
-    n, d = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+def rational_forms(draw, n):
+    """A nondegenerate symmetric form on C^n with rational entries (small
+    denominators) and a nonzero off-diagonal entry."""
     entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
     mat = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -119,9 +118,17 @@ def fraction_forms(draw):
             mat[i][j] = mat[j][i] = draw(entry)
     mat[0][1] = mat[1][0] = draw(entry.filter(bool))
     try:
-        q = QuadraticForm(mat)
+        return QuadraticForm(mat)
     except ValueError:
         assume(False)
+
+
+@st.composite
+def fraction_forms(draw):
+    """n, d, a rational form and one column to check against the E_ij
+    reference."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    q = draw(rational_forms(n))
     pick = draw(st.integers(0, len(monomials(n, d)) - 1))
     return n, d, q, pick
 
@@ -162,6 +169,54 @@ def test_int_columns_are_one_multiple_of_y_dq(case):
         assert col == {index[k]: K * c for k, c in img.coeffs.items()}
     ref = y_dq_by_e_ops(src[pick], q)
     assert cols[pick] == {index[k]: K * c for k, c in ref.coeffs.items()}
+
+
+def divergence(xi):
+    out = Poly(xi.n, max(xi.degree - 1, 0))
+    for i in range(xi.n):
+        out = out + xi.components[i].diff(i)
+    return out
+
+
+def ck_by_gradient(xi, q):
+    """Reference CK: {(i, j): T_ij} over i <= j, the traceless symmetrized
+    gradient of xi with its index lowered by q, in Poly arithmetic."""
+    n = xi.n
+    flat = []
+    for j in range(n):
+        acc = Poly(n, xi.degree)
+        for k in range(n):
+            acc = acc + xi.components[k].scale(q.matrix[j][k])
+        flat.append(acc)
+    div = divergence(xi)
+    return {(i, j): flat[j].diff(i) + flat[i].diff(j)
+            - div.scale(Fraction(2, n) * q.matrix[i][j])
+            for i in range(n) for j in range(i, n)}
+
+
+@st.composite
+def fields_and_forms(draw):
+    """A vector field of degree 0..3 on C^n, n = 2..5, and a rational form."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+    xi = PolyVectorField([draw(polys(n, d, max_terms=3)) for _ in range(n)])
+    return xi, draw(rational_forms(n))
+
+
+@bounded(40)
+@given(fields_and_forms())
+def test_ck_operator_matches_symmetrized_gradient(case):
+    """CK(xi) = sum_ij T_ij y_i y_j: T_ii on y_i^2, 2 T_ij on y_i y_j."""
+    xi, q = case
+    n = xi.n
+    ref = Poly(2 * n, xi.degree + 1)
+    for (i, j), t in ck_by_gradient(xi, q).items():
+        ey = [0] * n
+        ey[i] += 1
+        ey[j] += 1
+        ref = ref + Poly(2 * n, xi.degree + 1, {
+            m + tuple(ey): c * (1 if i == j else 2)
+            for m, c in t.coeffs.items()})
+    assert ck_operator(xi, q) == ref
 
 
 @st.composite

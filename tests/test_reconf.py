@@ -35,16 +35,9 @@ class TestTable:
         assert graded == [n, n * (n - 1) // 2 + 1, n]
         assert [table[d]["h0"] for d in range(3)] == graded
 
-    def test_exact_vs_formula_agreement(self):
-        # forcing exact ranks everywhere in range must change nothing
-        for n in (3, 4):
-            a = reconf.reconf_table(n, 5, exact=True)
-            b = reconf.reconf_table(n, 5, exact=False)
-            assert a == b
-
     def test_h1_monotone_for_large_n(self):
         for n in (4, 5):
-            table = reconf.reconf_table(n, 8, exact=False)
+            table = reconf.reconf_table(n, 8)
             vals = [table[d]["h1"] for d in range(3, 9)]
             assert all(b > a for a, b in zip(vals, vals[1:]))
             assert all(v >= 0 for v in vals)
@@ -76,7 +69,7 @@ class TestIntegrityCheck:
 
         monkeypatch.setattr(young_map, "kernel_cokernel_dims", wrong)
         with pytest.raises(ArithmeticError):
-            reconf.h1_entry(3, 2, exact=True)
+            reconf.h1_entry(3, 2)
 
 
 class TestContinuity:

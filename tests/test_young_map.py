@@ -90,11 +90,6 @@ class TestProjector:
         with pytest.raises(ValueError):
             ym.project_isotypic(F)
 
-    def test_rejects_disagreeing_d(self):
-        F = power_of_linear_form(3, 3)
-        with pytest.raises(ValueError):
-            ym.project_isotypic(F, d=4)
-
     def test_annihilates_symmetrization(self):
         for n in (2, 3, 4):
             for d in (2, 3):
