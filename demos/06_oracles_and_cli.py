@@ -2,8 +2,9 @@
 
 The Young-symmetrizer oracle rebuilds y_2q on honest tensor words (no
 Casimir, no projector) and must agree rank-for-rank. It keys the rows of
-c_lam by row orbit, builds the sparse c_lam columns once and ranks them
-with linalg.rank_sparse. The CLI wraps every capability with
+c_lam by row orbit and builds the sparse c_lam columns once; one call
+ranks them with linalg.rank_sparse and, for shape (d,2), also ranks the
+tensor-word y-map on top of them. The CLI wraps every capability with
 reproducible JSON output and strict exit codes.
 """
 
@@ -14,7 +15,7 @@ from liouville.weights import pad, weyl_dim
 print("symmetrizer rank vs the Weyl dimension formula")
 for lam in [(2,), (1, 1), (2, 1), (2, 2)]:
     for n in (2, 3):
-        r = young_map.young_symmetrizer_rank(lam, n)
+        r, _ = young_map.young_symmetrizer_oracle(lam, n)
         print(f"  shape {lam}, n = {n}: rank {r},"
               f" weyl {weyl_dim(pad(lam, n))}")
 

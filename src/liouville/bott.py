@@ -63,14 +63,14 @@ def graded_dims(gc):
     return {i: weights.isotypic_dim(terms) for i, terms in gc.items()}
 
 
-def les_restriction_to_Q(n, d, coker_dim=None):
+def les_restriction_to_Q(n, d):
     """Cohomology of S^d(G)(1)|_Q from the multiplication-by-q sequence.
 
     Combines the cohomology of S^d(G)(-1) and S^d(G)(1) on P(M). For
     d >= 3 the connecting map is the vertical Young multiplication in
-    degree d-1, which is injective; its cokernel dimension may be passed
-    in (an exact rank from young_map), otherwise the Weyl-dimension
-    difference is used. Returns {i: dimension}.
+    degree d-1, which is injective; its cokernel dimension is the
+    Weyl-dimension difference dim Sigma^{d-1,2} - dim S^{d-1}, checked
+    against the two Bott sides. Returns {i: dimension}.
     """
     if n < 3:
         raise ValueError("the quadric bookkeeping needs n >= 3")
@@ -92,14 +92,13 @@ def les_restriction_to_Q(n, d, coker_dim=None):
     # d >= 3: both sides live in H^1; the connecting map is injective
     src = weights.isotypic_dim(inner[1])   # S^{d-1}(M*)
     dst = weights.isotypic_dim(outer[1])   # Sigma^{d-1,2}(M*)
-    if coker_dim is None:
-        coker_dim = weyl_dim(pad((d - 1, 2), n)) - weyl_dim(pad((d - 1,), n))
-    if coker_dim != dst - src:
+    coker = weyl_dim(pad((d - 1, 2), n)) - weyl_dim(pad((d - 1,), n))
+    if coker != dst - src:
         raise ArithmeticError(
-            f"cokernel dimension {coker_dim} inconsistent with "
+            f"cokernel dimension {coker} inconsistent with "
             f"injectivity at n={n}, d={d}: expected {dst - src}"
         )
-    return {1: coker_dim} if coker_dim else {}
+    return {1: coker} if coker else {}
 
 
 def graded_to_json(gc):

@@ -9,7 +9,6 @@ import json
 import sys
 
 from . import bott, cech, killing, reconf, weights, young_map
-from .polyspaces import QuadraticForm
 
 SCHEMA_VERSION = 1
 
@@ -38,15 +37,24 @@ def _within_budget(name, limit, size):
 
 
 def _emit(payload, fmt, tsv_fn=None, pretty_fn=None):
-    if fmt == "json":
-        payload = dict(payload)
-        payload["schema_version"] = SCHEMA_VERSION
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    elif fmt == "tsv":
-        print(tsv_fn() if tsv_fn else _default_tsv(payload))
-    else:
-        print(pretty_fn() if pretty_fn else
-              json.dumps(payload, sort_keys=True, indent=2))
+    # an exact dimension may have more digits than CPython's default
+    # int-to-str limit (4300); lift it for printing only (3.10.7+, 3.11+)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            payload = dict(payload)
+            payload["schema_version"] = SCHEMA_VERSION
+            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        elif fmt == "tsv":
+            print(tsv_fn() if tsv_fn else _default_tsv(payload))
+        else:
+            print(pretty_fn() if pretty_fn else
+                  json.dumps(payload, sort_keys=True, indent=2))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _default_tsv(payload):

@@ -30,15 +30,6 @@ class PolyVectorField:
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
 
-    def coeff_vector(self, degree=None):
-        """Coefficients over the canonical basis of (S^degree)^n."""
-        d = self.degree if degree is None else degree
-        basis = monomials(self.n, d)
-        out = []
-        for comp in self.components:
-            out.extend(comp.coeff_vector(basis))
-        return out
-
 
 def _ck_term(c, e, q, qy):
     """CK on the unit field x^e d/dx_c, as {(x, y) exponents: coeff}.
@@ -163,15 +154,10 @@ def named_conformal_basis(n):
     return basis
 
 
-def _field_coords(field, n):
-    """Coordinates of a degree <= 2 field over the stacked monomial bases."""
-    out = []
-    for d in range(3):
-        if field.degree == d and not field.is_zero():
-            out.extend(field.coeff_vector(d))
-        else:
-            out.extend([Fraction(0)] * (n * len(monomials(n, d))))
-    return out
+def _terms(field):
+    """A field's coordinates: its terms {(component, exponents): coeff}."""
+    return {(c, e): v for c, comp in enumerate(field.components)
+            for e, v in comp.coeffs.items()}
 
 
 def structure_constants(named_basis):
@@ -179,24 +165,25 @@ def structure_constants(named_basis):
 
     Returns a dict {(a, b): {c: coeff}} over basis indices a < b.
     """
-    n = named_basis[0][1].n
     fields = [f for _, f in named_basis]
-    targets = {(a, b): _field_coords(bracket(fields[a], fields[b]), n)
+    targets = {(a, b): _terms(bracket(fields[a], fields[b]))
                for a in range(len(fields)) for b in range(a + 1, len(fields))}
-    return _solve([_field_coords(f, n) for f in fields], targets,
+    return _solve([_terms(f) for f in fields], targets,
                   [name for name, _ in named_basis])
 
 
 def _solve(basis, targets, names):
     """Coordinates of every target vector over the basis vectors, exactly.
 
-    `targets` maps a pair (a, b) to a vector. One reduced echelon form of
-    [basis | all targets] solves them all; a target outside the span
-    raises ArithmeticError naming its pair.
+    Vectors are sparse dicts; `targets` maps a pair (a, b) to one. One
+    reduced echelon form of [basis | all targets], with a row per key that
+    occurs, solves them all; a target outside the span raises
+    ArithmeticError naming its pair.
     """
     keys = list(targets)
-    red, pivots = linalg.rref(
-        list(zip(*basis, *(targets[k] for k in keys))))
+    vecs = basis + [targets[k] for k in keys]
+    red, pivots = linalg.rref([[v.get(r, 0) for v in vecs]
+                               for r in sorted(set().union(*vecs))])
     nb = len(basis)
     out = {k: {} for k in keys}
     for row, pc in zip(red, pivots):
@@ -258,6 +245,12 @@ def _mat_scale(m, c):
     return [[x * c for x in row] for row in m]
 
 
+def _entries(m):
+    """A matrix's coordinates: its nonzero entries {(i, j): x}."""
+    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)
+            if x}
+
+
 def _mat_comm(a, b):
     size = len(a)
     ab = [[sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size)]
@@ -271,9 +264,9 @@ def so_structure_constants(n):
     """Structure constants of the so(n+2) images of the conformal basis."""
     named = conformal_to_so_matrices(n)
     mats = [m for _, m in named]
-    targets = {(a, b): [x for row in _mat_comm(mats[a], mats[b]) for x in row]
+    targets = {(a, b): _entries(_mat_comm(mats[a], mats[b]))
                for a in range(len(mats)) for b in range(a + 1, len(mats))}
-    return _solve([[x for row in m for x in row] for m in mats], targets,
+    return _solve([_entries(m) for m in mats], targets,
                   [name for name, _ in named])
 
 

@@ -1,9 +1,8 @@
 """Homogeneous polynomials over Q in n variables, exact coefficients.
 
 Monomials are exponent tuples ordered graded-lexicographically, giving
-every space S^d a canonical basis. The quadratic form q, multiplication
-by q, the q-Laplacian, harmonic dimensions and restriction to 2-planes
-live here.
+every space S^d a canonical basis. The quadratic form q, the q-Laplacian,
+harmonic dimensions and restriction to 2-planes live here.
 """
 
 from fractions import Fraction
@@ -126,10 +125,6 @@ class Poly:
             terms.append(f"{self.coeffs[e]}*z^{e}")
         return " + ".join(terms)
 
-    def coeff_vector(self, basis=None):
-        basis = basis if basis is not None else monomials(self.n, self.degree)
-        return [self.coeffs.get(e, Fraction(0)) for e in basis]
-
     def to_json(self):
         return [
             {"exponents": list(e), "coeff": str(self.coeffs[e])}
@@ -212,13 +207,6 @@ def _invert(mat):
     return [row[n:] for row in red]
 
 
-def mult_by_q(f, q):
-    """q * f, homogeneous of degree f.degree + 2."""
-    if f.n != q.n:
-        raise ValueError("variable-count mismatch")
-    return q.as_poly() * f
-
-
 def laplacian_q(f, q):
     """Delta_q f = sum_{i,j} q^{ij} d_i d_j f."""
     if f.n != q.n:
@@ -255,16 +243,6 @@ def harmonic_dim(n, d, q=None):
         return len(monomials(n, d))
     cols, src = laplacian_columns(n, d, q)
     return len(src) - linalg.rank_sparse(cols)
-
-
-def harmonic_basis(n, d, q=None):
-    """Basis of harmonic polynomials in S^d."""
-    q = q if q is not None else QuadraticForm.standard(n)
-    src = monomials(n, d)
-    if d < 2:
-        return [Poly.monomial(n, e) for e in src]
-    cols, _ = laplacian_columns(n, d, q)
-    return [Poly(n, d, dict(zip(src, v))) for v in linalg.nullspace(cols)]
 
 
 def restrict_to_plane(f, e1, e2):

@@ -59,7 +59,7 @@ def reconf_table(n, dmax, indexing="source"):
     for d in range(2, dmax + 1 - shift):
         coker = h1_entry(n, d)
         # cross-check against the LES route (bundle degree d+1)
-        les = bott.les_restriction_to_Q(n, d + 1, coker_dim=coker)
+        les = bott.les_restriction_to_Q(n, d + 1)
         if les.get(1, 0) != coker or set(les) - {1}:
             raise ArithmeticError(
                 f"restriction sequence at n={n}, d={d + 1} gives {les}, "
@@ -70,11 +70,6 @@ def reconf_table(n, dmax, indexing="source"):
 
 def h0_total(table):
     return sum(r["h0"] for r in table.values())
-
-
-def h0_graded(n):
-    """H^0 dims by field degree, from the Killing kernel."""
-    return [len(killing.ck_kernel(n, d)) for d in range(3)]
 
 
 def continuity_report(n_range, dmax):

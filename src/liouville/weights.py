@@ -1,4 +1,4 @@
-"""GL(n) weights: dominance, Weyl dimension formula, duality, Pieri rule.
+"""GL(n) weights: dominance, the Weyl dimension formula, isotypic sums.
 
 A weight is a plain tuple of n integers. Dominance (weakly decreasing) is
 checked where an operation requires it, never baked into a type, since
@@ -40,12 +40,6 @@ def weyl_dim(lam):
     return d
 
 
-def dualize(lam):
-    """Highest weight of the dual representation: reverse and negate."""
-    lam = check_weight(lam)
-    return tuple(-x for x in reversed(lam))
-
-
 def pad(lam, n):
     """Pad a partition with zeros to length n; error if it does not fit."""
     lam = tuple(lam)
@@ -54,40 +48,6 @@ def pad(lam, n):
             raise ValueError(f"weight {lam} does not fit in {n} rows")
         return lam[:n]
     return lam + (0,) * (n - len(lam))
-
-
-def pieri_sym(lam, k):
-    """Decompose Sigma^lam tensor S^k (Pieri rule).
-
-    Returns a dict {mu: 1} over all mu obtained from lam by adding k boxes,
-    no two in the same column. All multiplicities are 1.
-    """
-    lam = check_weight(lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    if any(x < 0 for x in lam):
-        raise ValueError(f"Pieri rule needs a Young diagram, got {lam}")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    n = len(lam)
-    out = {}
-
-    def place(i, remaining, mu):
-        if remaining == 0:
-            out[tuple(mu)] = 1
-            return
-        if i == n:
-            return
-        # horizontal strip: mu_i <= lam_{i-1}
-        upper = lam[i - 1] if i > 0 else lam[i] + remaining
-        hi = min(upper - lam[i], remaining)
-        for add in range(hi, -1, -1):
-            mu[i] = lam[i] + add
-            place(i + 1, remaining - add, mu)
-        mu[i] = lam[i]
-
-    place(0, k, list(lam))
-    return out
 
 
 def sym_dim(n, d):

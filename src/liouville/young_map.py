@@ -21,7 +21,8 @@ from .weights import pad, weyl_dim
 
 def bipoly_basis(n, d, e):
     """Canonical basis of bidegree (d,e): exponent tuples ex + ey."""
-    return [ex + ey for ex in monomials(n, d) for ey in monomials(n, e)]
+    ys = monomials(n, e)
+    return [ex + ey for ex in monomials(n, d) for ey in ys]
 
 
 def _omega_term(k, n):
@@ -101,30 +102,6 @@ def y_dq(f, q):
     prod = {ex + ey: cx * cy for ex, cx in f.coeffs.items()
             for ey, cy in qp.coeffs.items()}
     return project_isotypic(Poly(2 * f.n, d + 2, prod))
-
-
-def casimir_eigenspace_dims(n, d):
-    """Exact eigenspace dimensions of Omega on bidegree (d,2).
-
-    Returns {lam: dim} over the three Pieri constituents. The dims are
-    nullities of Omega - c(lam); if they exhaust the space, Omega is
-    diagonalizable there and the Casimir projector is exactly the
-    isotypic projection.
-    """
-    basis = bipoly_basis(n, d, 2)
-    index = {k: i for i, k in enumerate(basis)}
-    omega = [{index[m]: c for m, c in _omega({k: 1}, n).items()}
-             for k in basis]
-    out = {}
-    for lam in [(d + 2,), (d + 1, 1), (d, 2)]:
-        lam_p = pad(lam, n)
-        if lam_p != tuple(sorted(lam_p, reverse=True)):
-            continue
-        c = casimir_scalar(lam_p, n)
-        shifted = [{**col, j: col.get(j, 0) - c}
-                   for j, col in enumerate(omega)]
-        out[lam_p] = len(basis) - linalg.rank_sparse(shifted)
-    return out
 
 
 def y_dq_columns(n, d, q=None):
@@ -239,11 +216,6 @@ def young_symmetrizer_columns(lam, n):
         out[w] = {orbit: c * _stabilizer_order(orbit)
                   for orbit, c in acc.items() if c}
     return out
-
-
-def young_symmetrizer_rank(lam, n):
-    """Exact rank of the Young symmetrizer on V^{tensor |lam|}."""
-    return linalg.rank_sparse(list(young_symmetrizer_columns(lam, n).values()))
 
 
 def _words_with_content(e):

@@ -34,20 +34,25 @@ class TestBottCohomology:
                 assert 0 <= deg <= n * (n - 1) // 2
 
 
+def dualize(lam):
+    """Highest weight of the dual representation: reverse and negate."""
+    return tuple(-x for x in reversed(lam))
+
+
 # the eight statement rows: expected {degree: weight} per (d-pattern, b)
 def statement_table_expected(n, d, b):
     if b == -1:
         if d == 0:
             return {}
-        return {1: weights.dualize(pad((d - 1,), n))}  # S^{d-1}(M*)
+        return {1: dualize(pad((d - 1,), n))}  # S^{d-1}(M*)
     # b == +1
     if d == 0:
-        return {0: weights.dualize(pad((1,), n))}      # M*
+        return {0: dualize(pad((1,), n))}      # M*
     if d == 1:
-        return {0: weights.dualize(pad((1, 1), n))}    # Lambda^2(M*)
+        return {0: dualize(pad((1, 1), n))}    # Lambda^2(M*)
     if d == 2:
         return {}
-    return {1: weights.dualize(pad((d - 1, 2), n))}    # Sigma^{d-1,2}(M*)
+    return {1: dualize(pad((d - 1, 2), n))}    # Sigma^{d-1,2}(M*)
 
 
 class TestSheafCohomologyOnP:
@@ -67,7 +72,7 @@ class TestSheafCohomologyOnP:
         assert bott.sdg_cohomology_on_P(4, 2, 1) == {}
         assert bott.graded_dims(bott.sdg_cohomology_on_P(4, 5, -1)) == {1: 35}
         gc = bott.sdg_cohomology_on_P(4, 4, 1)
-        assert gc == {1: {weights.dualize((3, 2, 0, 0)): 1}}
+        assert gc == {1: {dualize((3, 2, 0, 0)): 1}}
 
 
 class TestRestrictionToQ:
@@ -95,9 +100,15 @@ class TestRestrictionToQ:
                 got = bott.les_restriction_to_Q(n, d)
                 assert sum((-1) ** i * v for i, v in got.items()) == chi
 
-    def test_inconsistent_coker_rejected(self):
+    def test_inconsistent_coker_rejected(self, monkeypatch):
+        # skew the Weyl-dimension side of the cokernel alone: the Bott side
+        # reaches weyl_dim through weights, not through bott's own name
+        def skewed(lam):
+            return weyl_dim(lam) + (lam == pad((3, 2), 4))
+
+        monkeypatch.setattr(bott, "weyl_dim", skewed)
         with pytest.raises(ArithmeticError):
-            bott.les_restriction_to_Q(4, 4, coker_dim=1)
+            bott.les_restriction_to_Q(4, 4)
 
 
 def test_graded_json_shape():

@@ -16,6 +16,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def decimal_digits(x):
+    """str(x) for a positive int of any size, 100 digits at a time."""
+    chunks = []
+    while x:
+        x, r = divmod(x, 10 ** 100)
+        chunks.append(str(r).zfill(100))
+    return "".join(reversed(chunks)).lstrip("0")
+
+
 class TestCommands:
     def test_reconf_tsv_h0_total(self, capsys):
         code, out, _ = run(capsys, "reconf", "--n", "4", "--dmax", "6",
@@ -42,6 +51,22 @@ class TestCommands:
         assert code == 0
         assert payload["degree"] == 1
         assert payload["dominant_weight"] == [0, 0, 0, -2]
+
+    @pytest.mark.parametrize("fmt,field", [
+        ("json", '"dim":{}'), ("tsv", "dim\t{}"), ("pretty", '"dim": {}')])
+    def test_bott_prints_dimension_past_int_str_limit(self, capsys, fmt,
+                                                      field):
+        # the staircase weight 200,..,1 has dim 2^19900: 5,991 digits, past
+        # CPython's default int-to-str limit of 4,300
+        weight = ",".join(map(str, range(200, 0, -1)))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "bott", "--weight", weight,
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        digits = decimal_digits(2 ** 19900)
+        assert len(digits) == 5991
+        assert field.format(digits) in out
 
     def test_sheaf(self, capsys):
         code, out, _ = run(capsys, "sheaf", "--n", "4", "--d", "2", "--b", "1")

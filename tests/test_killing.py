@@ -94,8 +94,8 @@ class TestBracket:
         lhs = bracket(a, b)
         rhs = bracket(b, a)
         assert not lhs.is_zero()
-        assert all(x == -y for x, y in zip(
-            lhs.coeff_vector(), rhs.coeff_vector()))
+        assert all(x == y.scale(-1)
+                   for x, y in zip(lhs.components, rhs.components))
 
     def test_closure_of_kernel(self):
         # bracket of conformal Killing fields stays conformal Killing

@@ -9,6 +9,28 @@ from liouville.polyspaces import Poly, QuadraticForm, monomials
 from liouville.weights import pad, weyl_dim
 
 
+def harmonic_basis(n, d, q):
+    """Basis of ker(Delta_q) on S^d (d >= 2), the nullspace of its columns."""
+    cols, src = polyspaces.laplacian_columns(n, d, q)
+    return [Poly(n, d, dict(zip(src, v))) for v in linalg.nullspace(cols)]
+
+
+def casimir_eigenspace_dims(n, d):
+    """{lam: nullity of Omega - c(lam)} on bidegree (d, 2), over the
+    three Pieri constituents lam of S^d x S^2 (n >= 2)."""
+    basis = ym.bipoly_basis(n, d, 2)
+    index = {k: i for i, k in enumerate(basis)}
+    omega = [{index[m]: c for m, c in ym._omega({k: 1}, n).items()}
+             for k in basis]
+    out = {}
+    for lam in [(d + 2,), (d + 1, 1), (d, 2)]:
+        c = ym.casimir_scalar(lam, n)
+        shifted = [{**col, j: col.get(j, 0) - c}
+                   for j, col in enumerate(omega)]
+        out[pad(lam, n)] = len(basis) - linalg.rank_sparse(shifted)
+    return out
+
+
 def power_of_linear_form(n, d):
     """(x_1)^d (y_1)^2: the highest-weight vector of the S^{d+2} piece."""
     ex = (d,) + (0,) * (n - 1)
@@ -45,7 +67,7 @@ class TestCasimir:
         # exhaust the bidegree space: Omega is diagonalizable there, so
         # the Casimir projector is exactly the isotypic projection
         for d in range(2, dmax + 1):
-            dims = ym.casimir_eigenspace_dims(n, d)
+            dims = casimir_eigenspace_dims(n, d)
             expected = {}
             for lam in [(d + 2,), (d + 1, 1), (d, 2)]:
                 lam_p = pad(lam, n)
@@ -130,12 +152,13 @@ class TestYdq:
         q = QuadraticForm.standard(2)
         for d in range(2, 6):
             kernel = ym.y_dq_kernel(2, d, q)
-            harmonic = polyspaces.harmonic_basis(2, d, q)
+            harmonic = harmonic_basis(2, d, q)
             assert len(kernel) == len(harmonic) == 2
             # equal spans: stacking either basis over the other adds no rank
-            kv = [f.coeff_vector() for f in kernel]
-            hv = [f.coeff_vector() for f in harmonic]
-            assert linalg.rank(kv) == linalg.rank(hv) == linalg.rank(kv + hv)
+            kv = [f.coeffs for f in kernel]
+            hv = [f.coeffs for f in harmonic]
+            assert linalg.rank_sparse(kv) == linalg.rank_sparse(hv) == \
+                linalg.rank_sparse(kv + hv)
 
     def test_named_dims(self):
         assert ym.kernel_cokernel_dims(3, 2) == (0, 0)
@@ -248,21 +271,21 @@ def word_level_symmetrizer(lam, n):
 
 class TestSymmetrizerOracle:
     def test_wedge_rank(self):
-        assert ym.young_symmetrizer_rank((1, 1), 3) == 3
+        assert ym.young_symmetrizer_oracle((1, 1), 3) == (3, None)
 
     def test_riemann_rank(self):
-        assert ym.young_symmetrizer_rank((2, 2), 3) == 6
+        assert ym.young_symmetrizer_oracle((2, 2), 3)[0] == 6
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            ym.young_symmetrizer_rank((4, 2), 3)  # 3^6 = 729 > 243
+            ym.young_symmetrizer_oracle((4, 2), 3)  # 3^6 = 729 > 243
 
     def test_rank_matches_weyl_dim(self):
         for n in (2, 3):
             for lam in SHAPES:
                 if len(lam) > n or n ** sum(lam) > 243:
                     continue
-                assert ym.young_symmetrizer_rank(lam, n) == \
+                assert ym.young_symmetrizer_oracle(lam, n)[0] == \
                     weyl_dim(pad(lam, n))
 
     @pytest.mark.parametrize("lam,n", [
@@ -304,13 +327,13 @@ class TestPlaneHarmonicity:
     def test_n2_harmonics_pass(self):
         q = QuadraticForm.standard(2)
         for d in (2, 3, 4):
-            for f in polyspaces.harmonic_basis(2, d, q):
+            for f in harmonic_basis(2, d, q):
                 assert ym.plane_harmonicity_test(f, q)
 
     def test_multiple_of_q_fails(self):
         q = QuadraticForm.standard(3)
         g = Poly.variable(3, 0)
-        f = polyspaces.mult_by_q(g, q)
+        f = q.as_poly() * g
         assert not ym.plane_harmonicity_test(f, q, trials=20, seed=3)
 
     def test_nonzero_quadratic_fails(self):
