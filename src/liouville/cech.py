@@ -81,6 +81,8 @@ def punctured_affine_table(n, box):
     per total degree. Every slice is compared with the closed form and a
     mismatch raises.
     """
+    if box < 0:
+        raise ValueError("need box >= 0")
     rows = []
     totals = {}
     for m in product(range(-box, box + 1), repeat=n):

@@ -6,9 +6,13 @@ bidegree (d - 1, 2) in young_map's (x, y) ring; its kernel per degree is
 computed as an exact nullspace. The degree-(0,1,2) kernel carries the
 usual conformal algebra, which is matched generator-by-generator against
 antisymmetric endomorphisms of C^{n+2} with a split extension of q.
+Both sides touch only nonzero terms: the bracket is accumulated term by
+term into one dict per component, and so(n+2) commutators are taken on
+the matrices' nonzero entries {(i, j): x}.
 """
 
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .polyspaces import Poly, QuadraticForm, monomials
@@ -108,16 +112,30 @@ def ck_kernel(n, d, q=None):
 
 
 def bracket(xi, eta):
-    """Lie bracket of vector fields, componentwise."""
+    """Lie bracket of vector fields, accumulated term by term.
+
+    [xi, eta]_m = sum_j xi_j d_j eta_m - eta_j d_j xi_m: each term of
+    eta_m with e_j > 0 meets each term of xi_j, and the same the other
+    way round, into one dict per component.
+    """
     n = xi.n
+    if eta.n != n:
+        raise ValueError("variable-count mismatch")
     deg = max(xi.degree + eta.degree - 1, 0)
     comps = []
     for m in range(n):
-        acc = Poly(n, deg)
-        for j in range(n):
-            acc = acc + xi.components[j] * eta.components[m].diff(j)
-            acc = acc - eta.components[j] * xi.components[m].diff(j)
-        comps.append(acc)
+        acc = {}
+        for f, g, sign in ((xi, eta, 1), (eta, xi, -1)):
+            for e, c in g.components[m].coeffs.items():
+                for j, ej in enumerate(e):
+                    if not ej:
+                        continue
+                    de = e[:j] + (ej - 1,) + e[j + 1:]
+                    w = sign * ej * c
+                    for e1, c1 in f.components[j].coeffs.items():
+                        k = tuple(map(add, e1, de))
+                        acc[k] = acc.get(k, 0) + w * c1
+        comps.append(Poly(n, deg, acc))
     return PolyVectorField(comps)
 
 
@@ -251,43 +269,43 @@ def _entries(m):
             if x}
 
 
-def _mat_comm(a, b):
-    size = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size)]
-          for i in range(size)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(size)) for j in range(size)]
-          for i in range(size)]
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+def _comm(a, b):
+    """Commutator ab - ba of matrices given as nonzero entries {(i, j): x}."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        rows = {}
+        for (k, j), v in y.items():
+            rows.setdefault(k, []).append((j, v))
+        for (i, k), u in x.items():
+            for j, v in rows.get(k, ()):
+                out[i, j] = out.get((i, j), 0) + sign * u * v
+    return {k: v for k, v in out.items() if v}
 
 
 def so_structure_constants(n):
     """Structure constants of the so(n+2) images of the conformal basis."""
     named = conformal_to_so_matrices(n)
-    mats = [m for _, m in named]
-    targets = {(a, b): _entries(_mat_comm(mats[a], mats[b]))
+    mats = [_entries(m) for _, m in named]
+    targets = {(a, b): _comm(mats[a], mats[b])
                for a in range(len(mats)) for b in range(a + 1, len(mats))}
-    return _solve([_entries(m) for m in mats], targets,
-                  [name for name, _ in named])
+    return _solve(mats, targets, [name for name, _ in named])
 
 
 def check_jacobi(constants, dim):
     """Exact Jacobi identity on antisymmetrized structure constants."""
-
-    def c(a, b):
-        if a == b:
-            return {}
-        if a < b:
-            return constants[(a, b)]
-        return {k: -v for k, v in constants[(b, a)].items()}
+    c = {(a, a): {} for a in range(dim)}
+    for (a, b), v in constants.items():
+        c[a, b] = v
+        c[b, a] = {k: -x for k, x in v.items()}
 
     for a in range(dim):
         for b in range(a + 1, dim):
             for cc in range(b + 1, dim):
                 acc = {}
                 for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
-                    for m, v in c(x, y).items():
-                        for t, w in c(m, z).items():
-                            acc[t] = acc.get(t, Fraction(0)) + v * w
+                    for m, v in c[x, y].items():
+                        for t, w in c[m, z].items():
+                            acc[t] = acc.get(t, 0) + v * w
                 if any(acc.values()):
                     return False, (a, b, cc)
     return True, None

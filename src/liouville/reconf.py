@@ -76,12 +76,16 @@ def continuity_report(n_range, dmax):
     """Per-n Hilbert series of H^0 and H^1 graded dimensions.
 
     n=2 comes from the Killing kernel alone (H^1 vanishes identically);
-    n >= 3 from the assembled table (source indexing).
+    n >= 3 from the assembled table (source indexing). The whole range and
+    dmax are checked before any row is computed.
     """
+    n_range = list(n_range)
+    if dmax < 0:
+        raise ValueError("need dmax >= 0")
+    if not all(2 <= n <= 6 for n in n_range):
+        raise ValueError("n_range must lie in [2, 6]")
     report = {}
     for n in n_range:
-        if not 2 <= n <= 6:
-            raise ValueError("n_range must lie in [2, 6]")
         if n == 2:
             h0 = [len(killing.ck_kernel(2, d)) for d in range(dmax + 1)]
             h1 = [0] * (dmax + 1)

@@ -158,9 +158,16 @@ class TestExitCodes:
 class TestBudgets:
     @pytest.fixture
     def heavy(self, monkeypatch):
-        """Each command's heavy function, patched to fail if it is called."""
+        """The work under each command, patched to fail if it is called;
+        the returned setter stubs a command's top-level function."""
         from liouville import bott, cech, killing, reconf, young_map
 
+        work = [(cech, "cech_slice"), (young_map, "kernel_cokernel_dims"),
+                (killing, "ck_kernel"), (reconf, "reconf_table"),
+                (bott, "bott_cohomology"), (bott, "sdg_cohomology_on_P")]
+        for mod, name in work:
+            monkeypatch.setattr(
+                mod, name, lambda *a, _name=name, **k: pytest.fail(_name))
         fns = {"cech": (cech, "punctured_affine_table"),
                "ydq": (young_map, "kernel_cokernel_dims"),
                "killing": (killing, "ck_kernel"),
@@ -168,26 +175,30 @@ class TestBudgets:
                "continuity": (reconf, "continuity_report"),
                "bott": (bott, "bott_cohomology"),
                "sheaf": (bott, "sdg_cohomology_on_P")}
-        for cmd, (mod, name) in fns.items():
-            monkeypatch.setattr(
-                mod, name, lambda *a, _name=name, **k: pytest.fail(_name))
         return lambda cmd, result: monkeypatch.setattr(
             *fns[cmd], lambda *a, **k: result)
 
-    @pytest.mark.parametrize("argv", [
-        ["cech", "--n", "10", "--box", "5"],
-        ["ydq", "--n", "12", "--d", "9"],
-        ["killing", "--n", "15", "--d", "6"],
-        ["reconf", "--n", "3", "--dmax", "300000"],
-        ["continuity", "--n-range", "2,3", "--dmax", "200"],
-        ["bott", "--weight=" + ",".join(["0"] * 501)],
-        ["sheaf", "--n", "20000", "--d", "1", "--b", "1"],
+    @pytest.mark.parametrize("argv,message", [
+        (["cech", "--n", "10", "--box", "5"], "CECH_BUDGET"),
+        (["ydq", "--n", "12", "--d", "9"], "YDQ_BUDGET"),
+        (["killing", "--n", "15", "--d", "6"], "KILLING_BUDGET"),
+        (["reconf", "--n", "3", "--dmax", "300000"], "RECONF_BUDGET"),
+        (["continuity", "--n-range", "2,3", "--dmax", "200"],
+         "CONTINUITY_BUDGET"),
+        (["bott", "--weight=" + ",".join(["0"] * 501)], "BOTT_BUDGET"),
+        (["sheaf", "--n", "20000", "--d", "1", "--b", "1"], "SHEAF_BUDGET"),
+        # meaningless sizes: no empty table, and no row before the refusal
+        (["cech", "--n", "2", "--box", "-1"], "need box >= 0"),
+        (["continuity", "--n-range", "3", "--dmax", "-1"], "need dmax >= 0"),
+        (["continuity", "--n-range", "3,4,7", "--dmax", "4"],
+         "n_range must lie in [2, 6]"),
     ], ids=["cech", "ydq", "killing", "reconf", "continuity", "bott",
-            "sheaf"])
-    def test_refused_before_any_work(self, capsys, heavy, argv):
+            "sheaf", "cech-negative-box", "continuity-negative-dmax",
+            "continuity-n-out-of-range"])
+    def test_refused_before_any_work(self, capsys, heavy, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 1
-        assert f"{argv[0].upper()}_BUDGET" in err
+        assert message in err
 
     def test_oracle_refused_before_any_work(self, capsys, heavy):
         # 4^4 tensor words exceed the oracle's 243: no rank is computed

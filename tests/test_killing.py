@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -113,7 +114,7 @@ class TestBracket:
 
 
 class TestSoNp2:
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_isomorphism(self, n):
         report = killing.so_np2_isomorphism(n)
         assert report["dimension"] == (n + 2) * (n + 1) // 2
@@ -123,6 +124,55 @@ class TestSoNp2:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             killing.so_np2_isomorphism(2)
+
+    def test_changed_structure_constant_is_caught(self, monkeypatch):
+        names = [name for name, _ in killing.named_conformal_basis(3)]
+        pk, d = (names.index("P1"), names.index("K1")), names.index("D")
+        real = killing.so_structure_constants
+
+        def changed(n):
+            out = real(n)
+            out[pk] = dict(out[pk])
+            out[pk][d] += 1  # [P1, K1] = 2 D + ..., now 3 D + ...
+            return out
+
+        monkeypatch.setattr(killing, "so_structure_constants", changed)
+        with pytest.raises(ArithmeticError,
+                           match=r"structure constants differ on \[P1, K1\]"):
+            killing.so_np2_isomorphism(3)
+
+    def test_jacobi_catches_a_perturbed_constant(self):
+        dim = 10
+        table = killing.so_structure_constants(3)
+        assert killing.check_jacobi(table, dim) == (True, None)
+        table[(0, 1)] = {0: Fraction(1)}  # [P1, P2] = P1 instead of 0
+        ok, triple = killing.check_jacobi(table, dim)
+        assert not ok
+        assert len(triple) == 3 and sorted(set(triple)) == list(triple)
+
+    def test_jacobi_reads_the_reversed_pair(self):
+        # so(3): [e0, e1] = e2, [e1, e2] = e0, [e0, e2] = -e1. The constant
+        # of (0, 2) enters the one Jacobi sum only as [e2, e0], the
+        # negated side of the table.
+        table = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
+        assert killing.check_jacobi(table, 3) == (True, None)
+        table[(0, 2)] = {1: -1, 0: 1}
+        assert killing.check_jacobi(table, 3) == (False, (0, 1, 2))
+
+    def test_non_killing_generator_is_caught(self, monkeypatch):
+        real = killing.named_conformal_basis
+
+        def patched(n):
+            basis = real(n)
+            x1 = Poly.variable(n, 0)
+            # x1^2 d/dx1 in place of the last special conformal field
+            basis[-1] = (basis[-1][0], PolyVectorField(
+                [x1 * x1] + [Poly(n, 2) for _ in range(n - 1)]))
+            return basis
+
+        monkeypatch.setattr(killing, "named_conformal_basis", patched)
+        with pytest.raises(ArithmeticError, match="K3 is not conformal Killing"):
+            killing.so_np2_isomorphism(3)
 
     def test_translations_and_specials_are_transpose_dual_nilpotents(self):
         n = 3
@@ -154,6 +204,37 @@ class TestSoNp2:
                     lhs = sum(m[t][a] * gram[t][b] + gram[a][t] * m[t][b]
                               for t in range(size))
                     assert lhs == 0
+
+
+def mat_comm(a, b):
+    """Dense reference commutator ab - ba of square matrices."""
+    size = len(a)
+    ab = [[sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size)]
+          for i in range(size)]
+    ba = [[sum(b[i][k] * a[k][j] for k in range(size)) for j in range(size)]
+          for i in range(size)]
+    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+
+
+class TestSparseCommutator:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_generators(self, n):
+        mats = [m for _, m in killing.conformal_to_so_matrices(n)]
+        for a in mats:
+            for b in mats:
+                assert killing._comm(killing._entries(a), killing._entries(b)) \
+                    == killing._entries(mat_comm(a, b))
+
+    def test_random_matrices_with_zero_rows(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            size = rng.randint(1, 6)
+            a, b = ([[rng.randint(-2, 2) for _ in range(size)]
+                     if rng.random() < 0.6 else [0] * size
+                     for _ in range(size)] for _ in range(2))
+            got = killing._comm(killing._entries(a), killing._entries(b))
+            assert got == killing._entries(mat_comm(a, b))
+            assert all(got.values())
 
 
 def test_cross_module_h0_grading():

@@ -1,13 +1,15 @@
 """Hypothesis properties of substitution, the Casimir, the projector, the
-integer y_dq columns, the conformal Killing operator and Cech slices."""
+integer y_dq columns, the conformal Killing operator, the Lie bracket and
+Cech slices."""
 
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from liouville import cech, young_map as ym
-from liouville.killing import PolyVectorField, ck_operator
+from liouville.killing import PolyVectorField, bracket, ck_operator
 from liouville.polyspaces import Poly, QuadraticForm, monomials
 
 small = st.integers(-3, 3).filter(bool)
@@ -217,6 +219,59 @@ def test_ck_operator_matches_symmetrized_gradient(case):
             m + tuple(ey): c * (1 if i == j else 2)
             for m, c in t.coeffs.items()})
     assert ck_operator(xi, q) == ref
+
+
+def bracket_by_polys(xi, eta):
+    """Reference bracket in Poly arithmetic:
+    [xi, eta]_m = sum_j xi_j d_j eta_m - eta_j d_j xi_m."""
+    n = xi.n
+    deg = max(xi.degree + eta.degree - 1, 0)
+    comps = []
+    for m in range(n):
+        acc = Poly(n, deg)
+        for j in range(n):
+            acc = acc + xi.components[j] * eta.components[m].diff(j)
+            acc = acc - eta.components[j] * xi.components[m].diff(j)
+        comps.append(acc)
+    return PolyVectorField(comps)
+
+
+@st.composite
+def fraction_fields(draw, n):
+    """A field of degree 0..3 with Fraction coefficients; about one
+    component in four is zero."""
+    d = draw(st.integers(0, 3))
+    coeff = st.builds(Fraction, small, st.integers(1, 5))
+    basis = monomials(n, d)
+    return PolyVectorField([
+        Poly(n, d, draw(st.dictionaries(st.sampled_from(basis), coeff,
+                                        min_size=1, max_size=3)))
+        if draw(st.integers(0, 3)) else Poly(n, d) for _ in range(n)])
+
+
+@st.composite
+def field_pairs(draw):
+    n = draw(st.integers(2, 5))
+    return draw(fraction_fields(n)), draw(fraction_fields(n))
+
+
+@bounded(80)
+@given(field_pairs())
+def test_bracket_matches_poly_arithmetic(case):
+    xi, eta = case
+    ref = bracket_by_polys(xi, eta)
+    br = bracket(xi, eta)
+    assert br.components == ref.components
+    assert br.degree == ref.degree
+    assert bracket(eta, xi).components == [c.scale(-1) for c in ref.components]
+
+
+def test_bracket_rejects_fields_on_different_spaces():
+    xi = PolyVectorField([Poly.variable(3, k) for k in range(3)])
+    eta = PolyVectorField([Poly.variable(4, k) for k in range(4)])
+    for a, b in ((xi, eta), (eta, xi)):
+        with pytest.raises(ValueError):
+            bracket(a, b)
 
 
 @st.composite
