@@ -1,7 +1,9 @@
 """The vertical Young multiplication f |-> projection of f*q onto Sigma^{d,2}.
 
-Realized by a Casimir polynomial projector on bidegree-(d, 2) polynomials
-in two vector variables. Injective for n >= 3; for n = 2 the kernel is
+Realized on bidegree-(d, 2) polynomials in two vector variables (x, y) as
+ker R, R = sum_i x_i d/dy_i, cut out by the sl_2 extremal projector. The
+Casimir eigenvalues printed first still tell the three isotypic pieces of
+S^d x S^2 apart. Injective for n >= 3; for n = 2 the kernel is
 2-dimensional in every degree, matching the conformal Killing picture.
 """
 

@@ -81,6 +81,8 @@ def punctured_affine_table(n, box):
     per total degree. Every slice is compared with the closed form and a
     mismatch raises.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if box < 0:
         raise ValueError("need box >= 0")
     rows = []

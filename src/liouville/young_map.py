@@ -1,12 +1,11 @@
 """The vertical Young multiplication S^d(M*) -> Sigma^{d,2}(M*).
 
-Sigma^{d,2} is realized inside the polynomials in 2n variables (x, y),
-x_1..x_n then y_1..y_n, of bidegree (d,2), as an isotypic component cut
-out by a quadratic-Casimir polynomial projector: one integer Casimir
-kernel through the gl_2 polarizations (Capelli identity), not a sum of
-n^2 operators E_ij E_ji, with denominators cleared once. The map sends
-f to the projection of f(x)*q(y). A Young-symmetrizer realization in
-V^{tensor (d+2)} is kept as a small-scale independent oracle.
+Sigma^{d,2} is realized in the polynomials in 2n variables (x, y),
+x_1..x_n then y_1..y_n, as ker R in bidegree (d,2), R = sum_i x_i d/dy_i
+((GL_n, GL_2) Howe duality), cut out by the sl_2 extremal projector in R
+and L = sum_i y_i d/dx_i alone. The map sends f to the projection of
+f(x)*q(y). A Young-symmetrizer realization in V^{tensor (d+2)} is kept
+as a small-scale independent oracle.
 """
 
 import random
@@ -25,44 +24,34 @@ def bipoly_basis(n, d, e):
     return [ex + ey for ex in monomials(n, d) for ey in ys]
 
 
-def _omega_term(k, n):
-    """Omega on the monomial x^a y^b (k = a + b), as {exponents: int}.
-
-    Omega = sum_{i,j} E_ij E_ji, E_ij = x_i d/dx_j + y_i d/dy_j. By the
-    Capelli identity for the (GL_n, GL_2) pair it is, on bidegree (d, e),
-    d^2 + e^2 + (n-1)d + (n-3)e + 2 L R with R = sum_i x_i d/dy_i and
-    L = sum_i y_i d/dx_i (one order suffices, as [R, L] = d - e). L R
-    moves y_i -> x_i, then x_j -> y_j; i = j gives b_i (a_i + 1) x^a y^b.
-    """
-    a, b = k[:n], k[n:]
-    d, e = sum(a), sum(b)
-    out = {k: d * d + e * e + (n - 1) * d + (n - 3) * e
-           + 2 * sum(bi * (ai + 1) for ai, bi in zip(a, b))}
-    for i in range(n):
-        for j in range(n):
-            if b[i] and a[j] and i != j:
+def _polarize(G, n, src, dst):
+    """sum_i z_{dst+i} d/dz_{src+i} on {exponents: c}, x at offset 0 and
+    y at offset n; only the nonzero exponents of the source block are
+    visited. R = _polarize(G, n, n, 0), L = _polarize(G, n, 0, n)."""
+    out = {}
+    for k, c in G.items():
+        for i, b in enumerate(k[src:src + n]):
+            if b:
                 m = list(k)
-                m[i] += 1
-                m[j] -= 1
-                m[n + i] -= 1
-                m[n + j] += 1
-                out[tuple(m)] = 2 * b[i] * a[j]
+                m[src + i] = b - 1
+                m[dst + i] += 1
+                m = tuple(m)
+                out[m] = out.get(m, 0) + b * c
     return out
 
 
-def _omega(coeffs, n, shift=0):
-    """(Omega - shift) on a coefficient dict {exponents: c}, zeros dropped."""
-    out = {}
-    for k, c in coeffs.items():
-        out[k] = out.get(k, 0) - shift * c
-        for m, w in _omega_term(k, n).items():
-            out[m] = out.get(m, 0) + w * c
-    return {m: c for m, c in out.items() if c}
-
-
 def casimir_apply(F):
-    """Quadratic Casimir of gl_n on a Poly F in (x, y); see _omega_term."""
-    return Poly(F.n, F.degree, _omega(F.coeffs, F.n // 2))
+    """Quadratic Casimir sum_{i,j} E_ij E_ji of gl_n on a Poly F in (x, y),
+    E_ij = x_i d/dx_j + y_i d/dy_j. By the Capelli identity it is
+    d^2 + e^2 + (n-1)d + (n-3)e + 2 L R on each bidegree (d, e) of F."""
+    n = F.n // 2
+    out = {}
+    for k, c in F.coeffs.items():
+        d, e = sum(k[:n]), sum(k[n:])
+        out[k] = (d * d + e * e + (n - 1) * d + (n - 3) * e) * c
+    for k, c in _polarize(_polarize(F.coeffs, n, n, 0), n, 0, n).items():
+        out[k] = out.get(k, 0) + 2 * c
+    return Poly(F.n, F.degree, out)
 
 
 def casimir_scalar(lam, n):
@@ -74,9 +63,11 @@ def casimir_scalar(lam, n):
 def project_isotypic(F):
     """Project a bidegree-(d,2) element onto its Sigma^{d,2} component.
 
-    S^d x S^2 has the Pieri constituents (d+2), (d+1, 1) and (d, 2). On
-    F with its denominators cleared, one integer step Omega - c_mu removes
-    each mu of the first two; c_{(d,2)} - c_mu = 4d+4, 2d is divided once.
+    Sigma^{d,2} is ker R there and the other Pieri constituents (d+2) and
+    (d+1, 1) lie in im L, so this is the sl_2 extremal projector
+    sum_k (-1)^k L^k R^k / (k! (h+2)..(h+k+1)) at h = d - 2, cut at k = 2
+    as R^3 kills y-degree 2: 1 - L R / d + L^2 R^2 / (2d(d+1)), run in
+    integers as 2d(d+1) G + L(L R^2 G - 2(d+1) R G) and divided once.
     """
     n, d = F.n // 2, F.degree - 2
     if F.n % 2 or any(sum(e[n:]) != 2 for e in F.coeffs):
@@ -85,10 +76,16 @@ def project_isotypic(F):
         raise ValueError("shape (d,2) needs d >= 2")
     den = lcm(*(c.denominator for c in F.coeffs.values()))
     G = {k: c.numerator * (den // c.denominator) for k, c in F.coeffs.items()}
-    for mu in ((d + 2,), (d + 1, 1)):
-        G = _omega(G, n, casimir_scalar(mu, n))
-    K = den * (4 * d + 4) * 2 * d
-    return Poly(F.n, F.degree, {k: Fraction(c, K) for k, c in G.items()})
+    RG = _polarize(G, n, n, 0)
+    T = _polarize(_polarize(RG, n, n, 0), n, 0, n)
+    for k, c in RG.items():
+        T[k] = T.get(k, 0) - 2 * (d + 1) * c
+    out = {k: 2 * d * (d + 1) * c for k, c in G.items()}
+    for k, c in _polarize(T, n, 0, n).items():
+        out[k] = out.get(k, 0) + c
+    K = den * 2 * d * (d + 1)
+    return Poly(F.n, F.degree,
+                {k: Fraction(c, K) for k, c in out.items() if c})
 
 
 def y_dq(f, q):

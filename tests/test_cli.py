@@ -189,12 +189,13 @@ class TestBudgets:
         (["sheaf", "--n", "20000", "--d", "1", "--b", "1"], "SHEAF_BUDGET"),
         # meaningless sizes: no empty table, and no row before the refusal
         (["cech", "--n", "2", "--box", "-1"], "need box >= 0"),
+        (["cech", "--n", "-1", "--box", "1"], "need n >= 1"),
         (["continuity", "--n-range", "3", "--dmax", "-1"], "need dmax >= 0"),
         (["continuity", "--n-range", "3,4,7", "--dmax", "4"],
          "n_range must lie in [2, 6]"),
     ], ids=["cech", "ydq", "killing", "reconf", "continuity", "bott",
-            "sheaf", "cech-negative-box", "continuity-negative-dmax",
-            "continuity-n-out-of-range"])
+            "sheaf", "cech-negative-box", "cech-negative-n",
+            "continuity-negative-dmax", "continuity-n-out-of-range"])
     def test_refused_before_any_work(self, capsys, heavy, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 1

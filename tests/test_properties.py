@@ -1,6 +1,6 @@
-"""Hypothesis properties of substitution, the Casimir, the projector, the
-integer y_dq columns, the conformal Killing operator, the Lie bracket and
-Cech slices."""
+"""Hypothesis properties of substitution, the Casimir, the projector
+against the Casimir steps, the integer y_dq columns, the conformal Killing
+operator, the Lie bracket and Cech slices."""
 
 from fractions import Fraction
 from math import lcm
@@ -135,9 +135,22 @@ def fraction_forms(draw):
     return n, d, q, pick
 
 
+def project_by_e_ops(F):
+    """Reference projection of bidegree (d, 2) onto Sigma^{d,2}: the two
+    Casimir steps (Omega - c_mu) / (c_{(d,2)} - c_mu), with the E_ij
+    reference Casimir."""
+    n, d = F.n // 2, F.degree - 2
+    c_target = ym.casimir_scalar((d, 2), n)
+    for mu in ((d + 2,), (d + 1, 1)):
+        c_mu = ym.casimir_scalar(mu, n)
+        F = (casimir_by_e_ops(F) - F.scale(c_mu)).scale(
+            Fraction(1, c_target - c_mu))
+    return F
+
+
 def y_dq_by_e_ops(e, q):
-    """Reference y_dq(x^e, q): x^e q(y) from q's matrix, then the two
-    Casimir steps of the projector with the E_ij reference Casimir."""
+    """Reference y_dq(x^e, q): x^e q(y) from q's matrix, then the E_ij
+    reference projection."""
     n, d = q.n, sum(e)
     F = Poly(2 * n, d + 2)
     for i in range(n):
@@ -146,12 +159,31 @@ def y_dq_by_e_ops(e, q):
             ey[i] += 1
             ey[j] += 1
             F = F + Poly(2 * n, d + 2, {e + tuple(ey): q.matrix[i][j]})
-    c_target = ym.casimir_scalar((d, 2), n)
-    for mu in ((d + 2,), (d + 1, 1)):
-        c_mu = ym.casimir_scalar(mu, n)
-        F = (casimir_by_e_ops(F) - F.scale(c_mu)).scale(
-            Fraction(1, c_target - c_mu))
-    return F
+    return project_by_e_ops(F)
+
+
+@st.composite
+def fraction_bidegree_d2(draw):
+    """F of bidegree (d, 2) in 2n variables with Fraction coefficients,
+    n = 2..4, d = 2..5."""
+    n, d = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    coeff = st.builds(Fraction, small, st.integers(1, 7))
+    return Poly(2 * n, d + 2, draw(st.dictionaries(
+        st.sampled_from(ym.bipoly_basis(n, d, 2)), coeff, max_size=5)))
+
+
+@bounded(30)
+@given(fraction_bidegree_d2())
+def test_extremal_projector_matches_casimir_steps(F):
+    """The extremal projector is the Casimir projection, and its image is
+    killed by the raising operator sum_i x_i d/dy_i."""
+    n = F.n // 2
+    P = ym.project_isotypic(F)
+    assert P == project_by_e_ops(F)
+    raised = Poly(F.n, F.degree)
+    for i in range(n):
+        raised = raised + Poly.variable(F.n, i) * P.diff(n + i)
+    assert raised.is_zero()
 
 
 @bounded(15)

@@ -20,7 +20,8 @@ def casimir_eigenspace_dims(n, d):
     three Pieri constituents lam of S^d x S^2 (n >= 2)."""
     basis = ym.bipoly_basis(n, d, 2)
     index = {k: i for i, k in enumerate(basis)}
-    omega = [{index[m]: c for m, c in ym._omega({k: 1}, n).items()}
+    omega = [{index[m]: c for m, c in
+              ym.casimir_apply(Poly(2 * n, d + 2, {k: 1})).coeffs.items()}
              for k in basis]
     out = {}
     for lam in [(d + 2,), (d + 1, 1), (d, 2)]:
@@ -93,7 +94,7 @@ class TestProjector:
                 assert ym.project_isotypic(once) == once
 
     def test_fraction_input_is_normalized(self):
-        # non-integral coefficients: the one division by (4d+4)(2d) at the
+        # non-integral coefficients: the one division by 2d(d+1) at the
         # end must give the exact projection, so projecting again fixes it
         F = Poly(6, 5, {(3, 0, 0, 2, 0, 0): Fraction(2, 7),
                         (1, 1, 1, 0, 1, 1): Fraction(-5, 3),
