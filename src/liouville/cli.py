@@ -6,6 +6,7 @@ exact rank disagreeing with a dimension formula).
 
 import argparse
 import json
+import os
 import sys
 
 from . import bott, cech, killing, reconf, weights, young_map
@@ -13,10 +14,13 @@ from . import bott, cech, killing, reconf, weights, young_map
 SCHEMA_VERSION = 1
 
 # The largest enumeration each command starts; a larger input exits 1
-# before any work. Inputs near a limit (cech --n 6 --box 3, ydq --n 7
-# --d 5, killing --n 10 --d 4, reconf --n 3 --dmax 200000, continuity
-# --n-range 2 --dmax 399, bott --weight 500,499,..,1, sheaf --n 10000)
-# run for 5-21 s on a 2-vCPU VM.
+# before any work. In process on a 2-vCPU VM (CPython 3.11), inputs near
+# a limit took: reconf --n 3 --dmax 200000 11 s, continuity --n-range 2
+# --dmax 399 12 s, bott --weight 500,499,..,1 4 s, sheaf --n 10000 4 s,
+# killing --n 10 --d 4 2 s, ydq --n 7 --d 5 0.3 s, cech --n 6 --box 3
+# 0.05 s. cech solves one complex per negative support, so CECH_BUDGET
+# bounds the slices it prints; its slow inputs are the large box-0 ones
+# (cech --n 16 --box 0, one complex of 2^16 - 1 cochains, took 65 s).
 CECH_BUDGET = 10 ** 7  # (2*box+1)^n Laurent slices times 2^n cover subsets
 YDQ_BUDGET = 20_000  # dim S^d * dim S^2 monomials of bidegree (d, 2)
 KILLING_BUDGET = 10_000  # n * dim S^d columns of the Killing operator
@@ -297,7 +301,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`| head`): point stdout at devnull so the
+        # interpreter's own flush at exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

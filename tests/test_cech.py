@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -45,6 +45,21 @@ class TestClosedForm:
                 assert got == cech.closed_form(n, m), (n, m)
 
 
+def table_by_every_slice(n, box):
+    """Reference table: one exact complex per multidegree of the box."""
+    rows, totals = [], {}
+    for m in product(range(-box, box + 1), repeat=n):
+        _, cohom = cech.cech_slice(n, m)
+        dims = {i: d for i, d in enumerate(cohom) if d}
+        assert dims == cech.closed_form(n, m), m
+        for i, d in sorted(dims.items()):
+            rows.append((m, i, d))
+            by_i = totals.setdefault(sum(m), {})
+            by_i[i] = by_i.get(i, 0) + d
+    rows.sort()
+    return rows, totals
+
+
 class TestTable:
     def test_n1_is_laurent_ring(self):
         rows, _ = cech.punctured_affine_table(1, 3)
@@ -73,3 +88,43 @@ class TestTable:
         assert tsv.splitlines()[0] == "multidegree\ti\tdim"
         payload = cech.table_to_json(rows, totals)
         assert {"multidegree": [-1, -1], "i": 1, "dim": 1} in payload["slices"]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("box", range(4))
+    def test_matches_every_slice_reference(self, n, box):
+        assert cech.punctured_affine_table(n, box) == \
+            table_by_every_slice(n, box)
+
+    @pytest.mark.parametrize("n,box", [(1, 0), (3, 0), (3, 3), (6, 2)])
+    def test_one_complex_per_negative_support(self, monkeypatch, n, box):
+        calls = []
+        real = cech.cech_slice
+
+        def counting(k, m):
+            calls.append(m)
+            return real(k, m)
+
+        monkeypatch.setattr(cech, "cech_slice", counting)
+        cech.punctured_affine_table(n, box)
+        assert len(calls) == (2 ** n if box else 1)
+
+    @pytest.mark.parametrize("support", [
+        s for k in (1, 2) for s in combinations(range(3), k)])
+    def test_wrong_mixed_support_raises(self, monkeypatch, support):
+        # a mixed support has no cohomology; one extra H^1 on it alone must
+        # be caught, though no row of the table would come from it
+        real = cech.cech_slice
+
+        def h1_raised_by(extra):
+            def patched(n, m):
+                cochain, cohom = real(n, m)
+                if cech.neg_support(m) == set(support):
+                    cohom = [cohom[0], cohom[1] + extra, cohom[2]]
+                return cochain, cohom
+            return patched
+
+        monkeypatch.setattr(cech, "cech_slice", h1_raised_by(0))
+        cech.punctured_affine_table(3, 1)
+        monkeypatch.setattr(cech, "cech_slice", h1_raised_by(1))
+        with pytest.raises(ArithmeticError):
+            cech.punctured_affine_table(3, 1)

@@ -16,6 +16,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def src_env():
+    """The environment for a child interpreter that imports liouville from
+    this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return env
+
+
 def decimal_digits(x):
     """str(x) for a positive int of any size, 100 digits at a time."""
     chunks = []
@@ -147,12 +155,36 @@ class TestExitCodes:
                   "from liouville import cli, young_map\n"
                   "young_map.kernel_cokernel_dims = lambda n, d: (1, 1)\n"
                   "sys.exit(cli.run(['selftest']))\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=src_env(), capture_output=True, text=True,
+                              timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert "y_dq at n=2, d=2 has ker=1" in proc.stderr
+
+    def test_cech_mismatch_is_2_under_optimize(self):
+        script = ("import sys\n"
+                  "from liouville import cech, cli\n"
+                  "cech.closed_form = lambda n, m: {}\n"
+                  "sys.exit(cli.run(['cech', '--n', '3', '--box', '1']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=src_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "integrity failure [cech]" in proc.stderr
+
+    def test_reader_closing_early_is_1_without_traceback(self):
+        # about 200 kB of JSON, more than a pipe holds, so the write is
+        # still going when the reader goes away
+        with subprocess.Popen(
+                [sys.executable, "-m", "liouville.cli", "cech", "--n", "6",
+                 "--box", "3"],
+                env=src_env(), stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{"box":3,"'
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err, err
 
 
 class TestBudgets:
@@ -224,12 +256,10 @@ class TestBudgets:
     def test_long_sheaf_weight_is_fast(self):
         # weyl_dim skips the pairs of equal entries, whose factor is 1; the
         # flag weight (0, .., 0, -1, -1) of length 1000 has 1996 others
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "liouville.cli", "sheaf", "--n", "1000",
              "--d", "1", "--b", "1"],
-            env=env, capture_output=True, text=True, timeout=10)
+            env=src_env(), capture_output=True, text=True, timeout=10)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["n"] == 1000
 

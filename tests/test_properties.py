@@ -1,6 +1,7 @@
 """Hypothesis properties of substitution, the Casimir, the projector
-against the Casimir steps, the integer y_dq columns, the conformal Killing
-operator, the Lie bracket and Cech slices."""
+against the Casimir steps, the integer y_dq columns, y_dq against its
+closed form, the conformal Killing operator, the Lie bracket and Cech
+slices."""
 
 from fractions import Fraction
 from math import lcm
@@ -203,6 +204,46 @@ def test_int_columns_are_one_multiple_of_y_dq(case):
         assert col == {index[k]: K * c for k, c in img.coeffs.items()}
     ref = y_dq_by_e_ops(src[pick], q)
     assert cols[pick] == {index[k]: K * c for k, c in ref.coeffs.items()}
+
+
+@st.composite
+def forms_and_polys(draw):
+    """A random nondegenerate rational form and f in S^d with Fraction
+    coefficients, n = 2..5, d = 2..5."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    coeff = st.builds(Fraction, small, st.integers(1, 7))
+    f = Poly(n, d, draw(st.dictionaries(
+        st.sampled_from(monomials(n, d)), coeff, min_size=1, max_size=5)))
+    return f, draw(rational_forms(n))
+
+
+@bounded(40)
+@given(forms_and_polys())
+def test_y_dq_closed_form(case):
+    """d(d+1) y_dq(f, q) = d(d-1) f q(y) - 2(d-1) (Lf) B(x, y) + (L^2 f) q(x),
+    B(x, y) = sum a_ij x_i y_j and L = sum y_i d/dx_i, by Poly arithmetic
+    alone."""
+    f, q = case
+    n, d = f.n, f.degree
+    x = [Poly.variable(2 * n, i) for i in range(n)]
+    y = [Poly.variable(2 * n, n + i) for i in range(n)]
+    B = Poly(2 * n, 2)
+    for i in range(n):
+        for j in range(n):
+            B = B + (x[i] * y[j]).scale(q.matrix[i][j])
+
+    def lower(g):
+        out = Poly(2 * n, g.degree)
+        for i in range(n):
+            out = out + y[i] * g.diff(i)
+        return out
+
+    fx = f.substitute(x)
+    Lf = lower(fx)
+    rhs = ((fx * q.as_poly().substitute(y)).scale(d * (d - 1))
+           - (Lf * B).scale(2 * (d - 1))
+           + lower(Lf) * q.as_poly().substitute(x))
+    assert ym.y_dq(f, q).scale(d * (d + 1)) == rhs
 
 
 def divergence(xi):
