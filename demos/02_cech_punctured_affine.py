@@ -24,7 +24,8 @@ for deg, by_i in sorted(totals.items()):
     print(f"    degree {deg:>3}: {by_i}")
 
 print()
-print("n = 2 has no Hartogs extension: H^1 is the doubly-negative quadrant")
+print("n = 2: functions still extend (Hartogs); the lost data is H^1, the"
+      " doubly-negative quadrant")
 rows2, _ = cech.punctured_affine_table(2, box=3)
 h1 = sorted(m for m, i, d in rows2 if i == 1)
 print(f"  {len(h1)} contributing multidegrees: {h1}")

@@ -18,10 +18,11 @@ SCHEMA_VERSION = 1
 # a limit took: reconf --n 3 --dmax 200000 11 s, continuity --n-range 2
 # --dmax 399 12 s, bott --weight 500,499,..,1 4 s, sheaf --n 10000 4 s,
 # killing --n 10 --d 4 2 s, ydq --n 7 --d 5 0.3 s, cech --n 6 --box 3
-# 0.05 s. cech solves one complex per negative support, so CECH_BUDGET
-# bounds the slices it prints; its slow inputs are the large box-0 ones
-# (cech --n 16 --box 0, one complex of 2^16 - 1 cochains, took 65 s).
-CECH_BUDGET = 10 ** 7  # (2*box+1)^n Laurent slices times 2^n cover subsets
+# 0.05 s. cech solves one complex per negative support, and the complex
+# of the empty support has 2^n - 1 cochains at any box (cech --n 16 --box
+# 0 took 65 s), so CECH_BUDGET counts at least 2 slices per axis: box 0
+# is admitted up to n = 11 (0.2 s) and refused from n = 12 on.
+CECH_BUDGET = 10 ** 7  # max(2*box+1, 2)^n slices times 2^n cover subsets
 YDQ_BUDGET = 20_000  # dim S^d * dim S^2 monomials of bidegree (d, 2)
 KILLING_BUDGET = 10_000  # n * dim S^d columns of the Killing operator
 RECONF_BUDGET = 2 * 10 ** 6  # dmax + 1 rows times n^2 weight-entry pairs
@@ -90,7 +91,7 @@ def cmd_sheaf(args):
 
 def cmd_cech(args):
     n = max(args.n, 0)
-    slices = max(2 * args.box + 1, 0) ** n
+    slices = max(2 * args.box + 1, 2) ** n
     _within_budget("CECH_BUDGET", CECH_BUDGET, slices * 2 ** n)
     rows, totals = cech.punctured_affine_table(args.n, args.box)
     payload = {"n": args.n, "box": args.box}

@@ -2,10 +2,11 @@
 
 The conformal Killing operator is the traceless symmetrized gradient
 (with the 2/n trace normalization), on degree-d fields one polynomial of
-bidegree (d - 1, 2) in young_map's (x, y) ring; its kernel per degree is
-computed as an exact nullspace. The degree-(0,1,2) kernel carries the
-usual conformal algebra, which is matched generator-by-generator against
-antisymmetric endomorphisms of C^{n+2} with a split extension of q.
+bidegree (d - 1, 2) in young_map's (x, y) ring, built with young_map's
+polarization L; its kernel per degree is computed as an exact nullspace.
+The degree-(0,1,2) kernel carries the usual conformal algebra, which is
+matched generator-by-generator against antisymmetric endomorphisms of
+C^{n+2} with a split extension of q.
 Both sides touch only nonzero terms: the bracket is accumulated term by
 term into one dict per component, and so(n+2) commutators are taken on
 the matrices' nonzero entries {(i, j): x}.
@@ -16,7 +17,7 @@ from operator import add
 
 from . import linalg
 from .polyspaces import Poly, QuadraticForm, monomials
-from .young_map import bipoly_basis
+from .young_map import _polarize, bipoly_basis
 
 
 class PolyVectorField:
@@ -39,21 +40,14 @@ def _ck_term(c, e, q, qy):
     """CK on the unit field x^e d/dx_c, as {(x, y) exponents: coeff}.
 
     CK(xi) = 2 L(xi_flat) - (2/n) div(xi) q(y), with L = sum_i y_i d/dx_i
-    and xi_flat = sum_j (q xi)_j y_j; here xi_flat = x^e sum_j q_jc y_j
-    and div(xi) = e_c x^(e - 1_c). `qy` is q(y) as {y exponents: coeff}.
+    the polarization of young_map and xi_flat = sum_j (q xi)_j y_j; here
+    2 xi_flat = x^e sum_j 2 q_jc y_j and div(xi) = e_c x^(e - 1_c). `qy`
+    is q(y) as {y exponents: coeff}.
     """
     n = q.n
-    out = {}
-    for i in range(n):
-        if e[i]:
-            ex = e[:i] + (e[i] - 1,) + e[i + 1:]
-            for j, qjc in enumerate(q.matrix[c]):
-                if qjc:
-                    ey = [0] * n
-                    ey[i] += 1
-                    ey[j] += 1
-                    k = ex + tuple(ey)
-                    out[k] = out.get(k, 0) + 2 * e[i] * qjc
+    flat = {e + (0,) * j + (1,) + (0,) * (n - 1 - j): 2 * qjc
+            for j, qjc in enumerate(q.matrix[c]) if qjc}
+    out = _polarize(flat, n, 0, n)
     if e[c]:
         ex = e[:c] + (e[c] - 1,) + e[c + 1:]
         w = Fraction(-2 * e[c], n)
@@ -194,14 +188,15 @@ def _solve(basis, targets, names):
     """Coordinates of every target vector over the basis vectors, exactly.
 
     Vectors are sparse dicts; `targets` maps a pair (a, b) to one. One
-    reduced echelon form of [basis | all targets], with a row per key that
-    occurs, solves them all; a target outside the span raises
-    ArithmeticError naming its pair.
+    reduced echelon form of the columns [basis | all targets], with each
+    key that occurs numbered as a row, solves them all; a target outside
+    the span raises ArithmeticError naming its pair.
     """
     keys = list(targets)
-    vecs = basis + [targets[k] for k in keys]
-    red, pivots = linalg.rref([[v.get(r, 0) for v in vecs]
-                               for r in sorted(set().union(*vecs))])
+    index = {}
+    cols = [{index.setdefault(r, len(index)): x for r, x in v.items()}
+            for v in basis + [targets[k] for k in keys]]
+    red, pivots = linalg.rref(cols)
     nb = len(basis)
     out = {k: {} for k in keys}
     for row, pc in zip(red, pivots):
@@ -209,9 +204,9 @@ def _solve(basis, targets, names):
             a, b = keys[pc - nb]
             raise ArithmeticError(
                 f"[{names[a]}, {names[b]}] left the span of the basis")
-        for t, k in enumerate(keys):
-            if row[nb + t]:
-                out[k][pc] = row[nb + t]
+        for j, x in row.items():
+            if j >= nb:
+                out[keys[j - nb]][pc] = x
     return out
 
 

@@ -6,6 +6,9 @@ primitive integer vector and reduced against the pivots found so far with
 integer cross-multiplication (Bareiss-style, no Fractions inside the
 loop). A back-substitution pass then gives the reduced row echelon form,
 which is unique, so kernels and solutions are reproducible bit-for-bit.
+Matrices come as sparse columns {row: value}, and rref hands back sparse
+rows {column: Fraction}; only `rank` takes dense rows, for small dense
+inputs such as a Gram matrix.
 """
 
 from fractions import Fraction
@@ -66,17 +69,6 @@ def _echelon(vectors, reduced=False):
     return pivots
 
 
-def _rref(vectors):
-    """Reduced echelon rows as sparse Fraction dicts, and their pivots."""
-    pivots = _echelon(vectors, reduced=True)
-    leads = sorted(pivots)
-    rows = []
-    for lead in leads:
-        vec = pivots[lead]
-        rows.append({i: Fraction(x, vec[lead]) for i, x in vec.items()})
-    return rows, leads
-
-
 def rank(rows):
     """Exact rank of a matrix given as a list of dense rows."""
     return len(_echelon({j: x for j, x in enumerate(r) if x} for r in rows))
@@ -87,23 +79,22 @@ def rank_sparse(columns):
     return len(_echelon(columns))
 
 
-def rref(rows):
-    """Reduced row echelon form over Q of a list of dense rows.
+def rref(columns):
+    """Reduced row echelon form over Q of a matrix given as sparse columns.
 
-    Returns (rref_rows, pivot_columns), rows as dense Fraction lists.
-    Input rows are not modified.
+    Returns (rows, pivot_columns): each row a sparse {column: Fraction}
+    dict with 1 at its pivot column, in pivot order. Inputs are not
+    modified.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    red, pivots = _rref({j: x for j, x in enumerate(r) if x} for r in rows)
-    out = []
-    for vec in red:
-        row = [Fraction(0)] * ncols
-        for j, x in vec.items():
-            row[j] = x
-        out.append(row)
-    return out, pivots
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            if x:
+                rows.setdefault(i, {})[j] = x
+    pivots = _echelon(rows.values(), reduced=True)
+    leads = sorted(pivots)
+    return [{j: Fraction(x, pivots[lead][lead])
+             for j, x in pivots[lead].items()} for lead in leads], leads
 
 
 def nullspace(columns):
@@ -113,12 +104,7 @@ def nullspace(columns):
     free column, as dense Fraction lists of length len(columns).
     """
     ncols = len(columns)
-    rows = {}
-    for j, col in enumerate(columns):
-        for i, x in col.items():
-            if x:
-                rows.setdefault(i, {})[j] = x
-    red, pivots = _rref(rows.values())
+    red, pivots = rref(columns)
     pivset = set(pivots)
     basis = []
     for j in range(ncols):

@@ -193,18 +193,15 @@ class QuadraticForm:
                 )
         return gram
 
-    def to_json(self):
-        return [[str(x) for x in row] for row in self.matrix]
-
 
 def _invert(mat):
+    """A^{-1} read off the reduced echelon form of the columns of [A | I]."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    red, pivots = linalg.rref(aug)
+    cols = [{i: row[j] for i, row in enumerate(mat)} for j in range(n)]
+    red, pivots = linalg.rref(cols + [{j: 1} for j in range(n)])
     if pivots[:n] != list(range(n)):
         raise ValueError("quadratic form is degenerate")
-    return [row[n:] for row in red]
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in red]
 
 
 def laplacian_q(f, q):

@@ -258,8 +258,10 @@ def plane_harmonicity_test(f, q=None, trials=20, seed=0):
     Necessary condition for membership in ker(y_{d,q}). Returns True iff
     Delta_{q|_E}(f|_E) vanishes exactly on every sampled plane.
     """
-    q = q if q is not None else QuadraticForm.standard(f.n)
     n = f.n
+    if n < 2:
+        raise ValueError("a 2-plane needs n >= 2")
+    q = q if q is not None else QuadraticForm.standard(n)
     if n == 2:
         rest = polyspaces.laplacian_q(f, q)
         return rest.is_zero()

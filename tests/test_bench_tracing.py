@@ -54,3 +54,18 @@ def test_killing_kernel_traces_one_nullspace():
         basis = killing.ck_kernel(3, 2)
     assert len(basis) == 3
     assert tracing.layer_metrics(tracer.spans)["linalg.nullspace.calls"] == 1
+
+
+def test_every_rref_caller_passes_int_keyed_columns():
+    # the traced rref stat indexes rows[0] and reads every key as a
+    # number, so a caller that passes a generator or keeps the term keys
+    # of its vectors fails here; _solve runs twice, _invert once
+    for module in TRACED:
+        importlib.import_module(f"liouville.{module}")
+    from liouville import killing
+    from liouville.polyspaces import QuadraticForm
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        killing.so_np2_isomorphism(3)
+        QuadraticForm([[2, 1], [1, 3]]).inverse
+    assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 3

@@ -212,6 +212,8 @@ class TestBudgets:
 
     @pytest.mark.parametrize("argv,message", [
         (["cech", "--n", "10", "--box", "5"], "CECH_BUDGET"),
+        # one slice, but its complex has 2^13 - 1 cochains
+        (["cech", "--n", "13", "--box", "0"], "CECH_BUDGET"),
         (["ydq", "--n", "12", "--d", "9"], "YDQ_BUDGET"),
         (["killing", "--n", "15", "--d", "6"], "KILLING_BUDGET"),
         (["reconf", "--n", "3", "--dmax", "300000"], "RECONF_BUDGET"),
@@ -225,8 +227,8 @@ class TestBudgets:
         (["continuity", "--n-range", "3", "--dmax", "-1"], "need dmax >= 0"),
         (["continuity", "--n-range", "3,4,7", "--dmax", "4"],
          "n_range must lie in [2, 6]"),
-    ], ids=["cech", "ydq", "killing", "reconf", "continuity", "bott",
-            "sheaf", "cech-negative-box", "cech-negative-n",
+    ], ids=["cech", "cech-box-0", "ydq", "killing", "reconf", "continuity",
+            "bott", "sheaf", "cech-negative-box", "cech-negative-n",
             "continuity-negative-dmax", "continuity-n-out-of-range"])
     def test_refused_before_any_work(self, capsys, heavy, argv, message):
         code, _, err = run(capsys, *argv)
@@ -241,14 +243,15 @@ class TestBudgets:
 
     @pytest.mark.parametrize("argv,result", [
         (["cech", "--n", "4", "--box", "3"], ([], {})),
+        (["cech", "--n", "11", "--box", "0"], ([], {})),
         (["ydq", "--n", "7", "--d", "4"], (0, 0)),
         (["killing", "--n", "6", "--d", "5"], []),
         (["reconf", "--n", "3", "--dmax", "200000"], {}),
         (["continuity", "--n-range", "2", "--dmax", "399"], {}),
         (["bott", "--weight=" + ",".join(["0"] * 500)], None),
         (["sheaf", "--n", "10000", "--d", "1", "--b", "1"], {}),
-    ], ids=["cech", "ydq", "killing", "reconf", "continuity", "bott",
-            "sheaf"])
+    ], ids=["cech", "cech-box-0", "ydq", "killing", "reconf", "continuity",
+            "bott", "sheaf"])
     def test_admits_larger_sizes(self, capsys, heavy, argv, result):
         heavy(argv[0], result)
         assert run(capsys, *argv)[0] == 0

@@ -88,6 +88,18 @@ class TestBracket:
         with pytest.raises(ArithmeticError, match=r"\[P1, K1\]"):
             killing.structure_constants(basis)
 
+    def test_solve_names_the_pair_that_left_the_span(self):
+        with pytest.raises(ArithmeticError,
+                           match=r"\[P1, P1\] left the span of the basis"):
+            killing._solve([{0: 1}], {(0, 0): {1: 1}}, ["P1"])
+
+    def test_solve_reads_coordinates_off_any_keys(self):
+        # keys need not be ints: 4 b = -2 (a) + 2 (a + 2 b), and 0 has none
+        basis = [{"a": 1}, {"a": 1, "b": 2}]
+        out = killing._solve(basis, {(0, 1): {"b": 4}, (1, 0): {}},
+                             ["A", "B"])
+        assert out == {(0, 1): {0: -2, 1: 2}, (1, 0): {}}
+
     def test_antisymmetry(self):
         n = 3
         basis = killing.named_conformal_basis(n)

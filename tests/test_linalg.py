@@ -58,12 +58,14 @@ def test_rank_matches_sympy(kind):
 @pytest.mark.parametrize("kind", ["int", "fraction"])
 def test_rref_matches_sympy(kind):
     for rows in _cases(kind):
-        red, pivots = linalg.rref(rows)
+        red, pivots = linalg.rref(_columns(rows))
         expected, expected_pivots = sympy.Matrix(rows).rref()
         assert pivots == list(expected_pivots)
-        assert red == [[_fraction(x) for x in expected.row(i)]
-                       for i in range(len(pivots))]
-        assert all(type(x) is Fraction for row in red for x in row)
+        assert red == [{j: _fraction(x) for j, x in enumerate(expected.row(i))
+                        if x} for i in range(len(pivots))]
+        assert all(type(x) is Fraction for row in red for x in row.values())
+        assert all(row[pc] == 1 for row, pc in zip(red, pivots))
+        assert linalg.rref(_columns(rows, keep_zeros=True)) == (red, pivots)
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction"])
@@ -89,7 +91,7 @@ def test_inputs_are_not_modified():
     cols = _columns(rows)
     before = ([list(r) for r in rows], [dict(c) for c in cols])
     linalg.rank(rows)
-    linalg.rref(rows)
+    linalg.rref(cols)
     linalg.rank_sparse(cols)
     linalg.nullspace(cols)
     assert (rows, cols) == before

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -353,3 +357,19 @@ class TestPlaneHarmonicity:
         for d in (2, 3, 4):
             for f in ym.y_dq_kernel(2, d, q):
                 assert ym.plane_harmonicity_test(f, q)
+
+    def test_n1_is_refused(self):
+        # two vectors of C^1 never span a plane, so resampling for one
+        # would never end: a child with a timeout fails instead of hanging
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("from liouville import young_map\n"
+                "from liouville.polyspaces import Poly\n"
+                "try:\n"
+                "    young_map.plane_harmonicity_test(Poly(1, 2, {(2,): 1}))\n"
+                "except ValueError as e:\n"
+                "    print(e)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert "needs n >= 2" in proc.stdout
