@@ -8,8 +8,9 @@ The degree-(0,1,2) kernel carries the usual conformal algebra, which is
 matched generator-by-generator against antisymmetric endomorphisms of
 C^{n+2} with a split extension of q.
 Both sides touch only nonzero terms: the bracket is accumulated term by
-term into one dict per component, and so(n+2) commutators are taken on
-the matrices' nonzero entries {(i, j): x}.
+term into one dict per component, each so(n+2) image is built as its
+nonzero entries {(i, j): x} and commutators are taken on those, and each
+entry of a sparse kernel vector becomes one coefficient of a field.
 """
 
 from fractions import Fraction
@@ -97,11 +98,10 @@ def ck_kernel(n, d, q=None):
     cols, src = ck_columns(n, d, q)
     basis = []
     for v in linalg.nullspace(cols):
-        comps = []
-        for comp in range(n):
-            chunk = v[comp * len(src):(comp + 1) * len(src)]
-            comps.append(Poly(n, d, dict(zip(src, chunk))))
-        basis.append(PolyVectorField(comps))
+        comps = [{} for _ in range(n)]
+        for j, x in v.items():
+            comps[j // len(src)][src[j % len(src)]] = x
+        basis.append(PolyVectorField([Poly(n, d, c) for c in comps]))
     return basis
 
 
@@ -210,58 +210,24 @@ def _solve(basis, targets, names):
     return out
 
 
-def so_matrix_form(n):
-    """Gram matrix of the split extension of the standard q on C^{n+2}.
-
-    Basis order: u, e_1..e_n, v with <u,v> = 1 and the identity block in
-    the middle.
-    """
-    size = n + 2
-    g = [[0] * size for _ in range(size)]
-    g[0][size - 1] = g[size - 1][0] = 1
-    for i in range(n):
-        g[i + 1][i + 1] = 1
-    return g
-
-
-def _x_ab(n, a, b, gram):
-    """Generator X_ab: v -> e_a <e_b, v> - e_b <e_a, v>."""
-    size = n + 2
-    m = [[0] * size for _ in range(size)]
-    for c in range(size):
-        m[a][c] += gram[b][c]
-        m[b][c] -= gram[a][c]
-    return m
-
-
 def conformal_to_so_matrices(n):
     """The explicit images of the named conformal generators in so(n+2).
 
-    P_i -> X_{u,i}, R_ij -> X_{i,j}, D -> -X_{u,v}, K_i -> 2 X_{v,i},
-    in the u, e_1..e_n, v basis of so_matrix_form.
+    P_i -> X_{u,i}, R_ij -> X_{i,j}, D -> -X_{u,v}, K_i -> 2 X_{v,i}, in
+    the basis u, e_1..e_n, v of C^{n+2} (indices 0..n+1) with <u, v> = 1
+    and <e_i, e_i> = 1. X_ab: w -> e_a <e_b, w> - e_b <e_a, w> has the
+    two nonzero entries (a, b') = 1 and (b, a') = -1, where u' = v,
+    v' = u and e_i' = e_i; each image is given as {(i, j): x}.
     """
-    gram = so_matrix_form(n)
     u, v = 0, n + 1
-    out = []
-    for i in range(n):
-        out.append((f"P{i+1}", _x_ab(n, u, i + 1, gram)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append((f"R{i+1}{j+1}", _x_ab(n, i + 1, j + 1, gram)))
-    out.append(("D", _mat_scale(_x_ab(n, u, v, gram), -1)))
-    for i in range(n):
-        out.append((f"K{i+1}", _mat_scale(_x_ab(n, v, i + 1, gram), 2)))
+    dual = lambda a: {u: v, v: u}.get(a, a)
+    x_ab = lambda a, b, c=1: {(a, dual(b)): c, (b, dual(a)): -c}
+    out = [(f"P{i}", x_ab(u, i)) for i in range(1, n + 1)]
+    out += [(f"R{i}{j}", x_ab(i, j))
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    out.append(("D", x_ab(u, v, -1)))
+    out += [(f"K{i}", x_ab(v, i, 2)) for i in range(1, n + 1)]
     return out
-
-
-def _mat_scale(m, c):
-    return [[x * c for x in row] for row in m]
-
-
-def _entries(m):
-    """A matrix's coordinates: its nonzero entries {(i, j): x}."""
-    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)
-            if x}
 
 
 def _comm(a, b):
@@ -280,7 +246,7 @@ def _comm(a, b):
 def so_structure_constants(n):
     """Structure constants of the so(n+2) images of the conformal basis."""
     named = conformal_to_so_matrices(n)
-    mats = [_entries(m) for _, m in named]
+    mats = [m for _, m in named]
     targets = {(a, b): _comm(mats[a], mats[b])
                for a in range(len(mats)) for b in range(a + 1, len(mats))}
     return _solve(mats, targets, [name for name, _ in named])

@@ -6,9 +6,10 @@ primitive integer vector and reduced against the pivots found so far with
 integer cross-multiplication (Bareiss-style, no Fractions inside the
 loop). A back-substitution pass then gives the reduced row echelon form,
 which is unique, so kernels and solutions are reproducible bit-for-bit.
-Matrices come as sparse columns {row: value}, and rref hands back sparse
-rows {column: Fraction}; only `rank` takes dense rows, for small dense
-inputs such as a Gram matrix.
+Matrices come as sparse columns {row: value}; rref hands back sparse
+rows {column: Fraction} and nullspace sparse vectors {column: Fraction}.
+Only `rank` takes dense rows, for small dense inputs such as a Gram
+matrix.
 """
 
 from fractions import Fraction
@@ -100,18 +101,17 @@ def rref(columns):
 def nullspace(columns):
     """Basis of the right kernel of a matrix given as sparse columns.
 
-    The basis is read off the reduced row echelon form: one vector per
-    free column, as dense Fraction lists of length len(columns).
+    The basis is read off the reduced row echelon form: one sparse
+    {column: Fraction} vector per free column j, holding 1 at j and minus
+    the pivot rows' entries in column j at their pivots.
     """
-    ncols = len(columns)
     red, pivots = rref(columns)
     pivset = set(pivots)
     basis = []
-    for j in range(ncols):
+    for j in range(len(columns)):
         if j in pivset:
             continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+        v = {j: Fraction(1)}
         for row, pc in zip(red, pivots):
             if j in row:
                 v[pc] = -row[j]

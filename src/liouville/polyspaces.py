@@ -42,8 +42,8 @@ class Poly:
                 self.coeffs[tuple(e)] = c
 
     @classmethod
-    def monomial(cls, n, exponents, coeff=1):
-        return cls(n, sum(exponents), {tuple(exponents): Fraction(coeff)})
+    def monomial(cls, n, exponents):
+        return cls(n, sum(exponents), {tuple(exponents): 1})
 
     @classmethod
     def variable(cls, n, i):
@@ -180,19 +180,6 @@ class QuadraticForm:
                     out[tuple(e)] = row[j] if i == j else 2 * row[j]
         return Poly(self.n, 2, out)
 
-    def restrict(self, e1, e2):
-        """2 x 2 Gram matrix of q on the plane spanned by e1, e2."""
-        vecs = [[Fraction(x) for x in e1], [Fraction(x) for x in e2]]
-        gram = [[Fraction(0)] * 2 for _ in range(2)]
-        for a in range(2):
-            for b in range(2):
-                gram[a][b] = sum(
-                    vecs[a][i] * self.matrix[i][j] * vecs[b][j]
-                    for i in range(self.n)
-                    for j in range(self.n)
-                )
-        return gram
-
 
 def _invert(mat):
     """A^{-1} read off the reduced echelon form of the columns of [A | I]."""
@@ -256,5 +243,10 @@ def restrict_to_plane(f, e1, e2):
 
 
 def restricted_form(q, e1, e2):
-    """q|_E as a QuadraticForm in 2 variables."""
-    return QuadraticForm(q.restrict(e1, e2))
+    """q|_E as a QuadraticForm in 2 variables: the Gram matrix of q on
+    e1, e2, summed over the nonzero entries of q."""
+    entries = [(i, j, x) for i, row in enumerate(q.matrix)
+               for j, x in enumerate(row) if x]
+    vecs = (e1, e2)
+    return QuadraticForm([[sum(a[i] * x * b[j] for i, j, x in entries)
+                           for b in vecs] for a in vecs])

@@ -84,6 +84,8 @@ def continuity_report(n_range, dmax):
         raise ValueError("need dmax >= 0")
     if not all(2 <= n <= 6 for n in n_range):
         raise ValueError("n_range must lie in [2, 6]")
+    if len(set(n_range)) < len(n_range):
+        raise ValueError("n_range repeats an n")
     report = {}
     for n in n_range:
         if n == 2:

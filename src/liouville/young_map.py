@@ -118,7 +118,8 @@ def y_dq_columns(n, d, q=None):
 def y_dq_kernel(n, d, q=None):
     """Exact kernel basis of y_dq on S^d, as Polys."""
     cols, src = y_dq_columns(n, d, q)
-    return [Poly(n, d, dict(zip(src, v))) for v in linalg.nullspace(cols)]
+    return [Poly(n, d, {src[j]: x for j, x in v.items()})
+            for v in linalg.nullspace(cols)]
 
 
 def kernel_cokernel_dims(n, d, q=None):
@@ -262,21 +263,18 @@ def plane_harmonicity_test(f, q=None, trials=20, seed=0):
     if n < 2:
         raise ValueError("a 2-plane needs n >= 2")
     q = q if q is not None else QuadraticForm.standard(n)
-    if n == 2:
-        rest = polyspaces.laplacian_q(f, q)
-        return rest.is_zero()
+    if q.n != n:
+        raise ValueError("variable-count mismatch")
     rng = random.Random(seed)
     done = 0
     while done < trials:
         e1 = [rng.randint(-5, 5) for _ in range(n)]
         e2 = [rng.randint(-5, 5) for _ in range(n)]
-        if linalg.rank([e1, e2]) < 2:
-            continue
         try:
             qe = polyspaces.restricted_form(q, e1, e2)
+            fe = polyspaces.restrict_to_plane(f, e1, e2)
         except ValueError:
-            continue  # degenerate restriction; resample
-        fe = polyspaces.restrict_to_plane(f, e1, e2)
+            continue  # dependent vectors or degenerate restriction; resample
         if not polyspaces.laplacian_q(fe, qe).is_zero():
             return False
         done += 1

@@ -227,9 +227,13 @@ class TestBudgets:
         (["continuity", "--n-range", "3", "--dmax", "-1"], "need dmax >= 0"),
         (["continuity", "--n-range", "3,4,7", "--dmax", "4"],
          "n_range must lie in [2, 6]"),
+        # a repeated n would compute its series twice
+        (["continuity", "--n-range", "3,3", "--dmax", "4"],
+         "n_range repeats an n"),
     ], ids=["cech", "cech-box-0", "ydq", "killing", "reconf", "continuity",
             "bott", "sheaf", "cech-negative-box", "cech-negative-n",
-            "continuity-negative-dmax", "continuity-n-out-of-range"])
+            "continuity-negative-dmax", "continuity-n-out-of-range",
+            "continuity-repeated-n"])
     def test_refused_before_any_work(self, capsys, heavy, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 1

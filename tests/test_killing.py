@@ -8,6 +8,34 @@ from liouville.killing import PolyVectorField, bracket, ck_kernel, ck_operator
 from liouville.polyspaces import Poly, QuadraticForm
 
 
+def dense_matrix(entries, size):
+    """A matrix given as nonzero entries {(i, j): x}, as dense rows."""
+    return [[entries.get((i, j), 0) for j in range(size)] for i in range(size)]
+
+
+def entries(m):
+    """A dense matrix's nonzero entries {(i, j): x}."""
+    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)
+            if x}
+
+
+def so_gram(n):
+    """Gram matrix of the split form on C^{n+2}: <u, v> = 1 in the corners,
+    the identity block on e_1..e_n in the middle."""
+    size = n + 2
+    g = [[0] * size for _ in range(size)]
+    g[0][size - 1] = g[size - 1][0] = 1
+    for i in range(n):
+        g[i + 1][i + 1] = 1
+    return g
+
+
+def so_matrices(n):
+    """conformal_to_so_matrices(n) with each image as dense rows."""
+    return [(name, dense_matrix(m, n + 2))
+            for name, m in killing.conformal_to_so_matrices(n)]
+
+
 def translation(n, i):
     return PolyVectorField([
         Poly(n, 0, {(0,) * n: 1}) if k == i else Poly(n, 0)
@@ -188,7 +216,7 @@ class TestSoNp2:
 
     def test_translations_and_specials_are_transpose_dual_nilpotents(self):
         n = 3
-        mats = dict(killing.conformal_to_so_matrices(n))
+        mats = dict(so_matrices(n))
         size = n + 2
         for i in range(1, n + 1):
             p = mats[f"P{i}"]
@@ -207,9 +235,9 @@ class TestSoNp2:
 
     def test_images_are_antisymmetric_for_the_form(self):
         n = 4
-        gram = killing.so_matrix_form(n)
+        gram = so_gram(n)
         size = n + 2
-        for _, m in killing.conformal_to_so_matrices(n):
+        for _, m in so_matrices(n):
             # m^T G + G m = 0
             for a in range(size):
                 for b in range(size):
@@ -231,11 +259,11 @@ def mat_comm(a, b):
 class TestSparseCommutator:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_generators(self, n):
-        mats = [m for _, m in killing.conformal_to_so_matrices(n)]
+        mats = [m for _, m in so_matrices(n)]
         for a in mats:
             for b in mats:
-                assert killing._comm(killing._entries(a), killing._entries(b)) \
-                    == killing._entries(mat_comm(a, b))
+                assert killing._comm(entries(a), entries(b)) \
+                    == entries(mat_comm(a, b))
 
     def test_random_matrices_with_zero_rows(self):
         rng = random.Random(9)
@@ -244,8 +272,8 @@ class TestSparseCommutator:
             a, b = ([[rng.randint(-2, 2) for _ in range(size)]
                      if rng.random() < 0.6 else [0] * size
                      for _ in range(size)] for _ in range(2))
-            got = killing._comm(killing._entries(a), killing._entries(b))
-            assert got == killing._entries(mat_comm(a, b))
+            got = killing._comm(entries(a), entries(b))
+            assert got == entries(mat_comm(a, b))
             assert all(got.values())
 
 

@@ -34,6 +34,11 @@ def _columns(rows, keep_zeros=False):
             for j in range(ncols)]
 
 
+def _dense(vectors, size):
+    """Sparse {column: value} vectors as dense lists of length `size`."""
+    return [[v.get(j, Fraction(0)) for j in range(size)] for v in vectors]
+
+
 def _fraction(x):
     return Fraction(int(x.p), int(x.q))
 
@@ -71,7 +76,7 @@ def test_rref_matches_sympy(kind):
 @pytest.mark.parametrize("kind", ["int", "fraction"])
 def test_nullspace_matches_sympy(kind):
     for rows in _cases(kind):
-        basis = linalg.nullspace(_columns(rows))
+        basis = _dense(linalg.nullspace(_columns(rows)), len(rows[0]))
         expected = [[_fraction(x) for x in v]
                     for v in sympy.Matrix(rows).nullspace()]
         assert basis == expected
@@ -83,7 +88,8 @@ def test_empty_matrices():
     assert linalg.rref([]) == ([], [])
     assert linalg.nullspace([]) == []
     # columns with no entries: the kernel is everything
-    assert linalg.nullspace([{}, {}]) == [[1, 0], [0, 1]]
+    assert _dense(linalg.nullspace([{}, {}]), 2) == [[1, 0], [0, 1]]
+    assert linalg.nullspace([{}, {}]) == [{0: 1}, {1: 1}]
 
 
 def test_inputs_are_not_modified():

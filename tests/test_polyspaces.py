@@ -8,6 +8,11 @@ from liouville.polyspaces import (Poly, QuadraticForm, harmonic_dim,
                                   laplacian_q, monomials, restrict_to_plane)
 
 
+def dense(v, size):
+    """A sparse {column: value} vector as a dense list of length `size`."""
+    return [v.get(j, Fraction(0)) for j in range(size)]
+
+
 def test_quadratic_form_rejects_degenerate_and_asymmetric():
     with pytest.raises(ValueError):
         QuadraticForm([[1, 0], [0, 0]])
@@ -133,7 +138,8 @@ class TestHarmonicDim:
     def test_harmonic_basis_is_annihilated(self):
         q = QuadraticForm.standard(3)
         cols, src = polyspaces.laplacian_columns(3, 3, q)
-        basis = [Poly(3, 3, dict(zip(src, v))) for v in linalg.nullspace(cols)]
+        basis = [Poly(3, 3, dict(zip(src, dense(v, len(src)))))
+                 for v in linalg.nullspace(cols)]
         assert len(basis) == 7
         for f in basis:
             assert laplacian_q(f, q).is_zero()

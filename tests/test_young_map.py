@@ -13,10 +13,16 @@ from liouville.polyspaces import Poly, QuadraticForm, monomials
 from liouville.weights import pad, weyl_dim
 
 
+def dense(v, size):
+    """A sparse {column: value} vector as a dense list of length `size`."""
+    return [v.get(j, Fraction(0)) for j in range(size)]
+
+
 def harmonic_basis(n, d, q):
     """Basis of ker(Delta_q) on S^d (d >= 2), the nullspace of its columns."""
     cols, src = polyspaces.laplacian_columns(n, d, q)
-    return [Poly(n, d, dict(zip(src, v))) for v in linalg.nullspace(cols)]
+    return [Poly(n, d, dict(zip(src, dense(v, len(src)))))
+            for v in linalg.nullspace(cols)]
 
 
 def casimir_eigenspace_dims(n, d):
@@ -357,6 +363,16 @@ class TestPlaneHarmonicity:
         for d in (2, 3, 4):
             for f in ym.y_dq_kernel(2, d, q):
                 assert ym.plane_harmonicity_test(f, q)
+
+    @pytest.mark.parametrize("nf,nq", [(4, 3), (3, 4)],
+                             ids=["form-in-fewer-variables",
+                                  "form-in-more-variables"])
+    def test_variable_count_mismatch_is_refused(self, nf, nq):
+        # a q in fewer variables would read only the first nq coordinates
+        # of each sampled vector; one in more would index past them
+        f = Poly.variable(nf, nf - 1) * Poly.variable(nf, 0)
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            ym.plane_harmonicity_test(f, QuadraticForm.standard(nq))
 
     def test_n1_is_refused(self):
         # two vectors of C^1 never span a plane, so resampling for one
