@@ -5,6 +5,7 @@ exact rank disagreeing with a dimension formula).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,23 +18,23 @@ SCHEMA_VERSION = 1
 # before any work. In process on a 2-vCPU VM (CPython 3.11), inputs near
 # a limit took: reconf --n 3 --dmax 200000 11 s, continuity --n-range 2
 # --dmax 399 12 s, bott --weight 500,499,..,1 4 s, sheaf --n 10000 4 s,
-# killing --n 10 --d 4 2 s, ydq --n 7 --d 5 0.3 s, cech --n 6 --box 3
-# 0.05 s. cech solves one complex per negative support, and the complex
-# of the empty support has 2^n - 1 cochains at any box (cech --n 16 --box
-# 0 took 65 s), so CECH_BUDGET counts at least 2 slices per axis: box 0
-# is admitted up to n = 11 (0.2 s) and refused from n = 12 on.
+# ydq --n 7 --d 5 0.3 s, cech --n 6 --box 3 0.05 s. cech solves one
+# complex per negative support, and the complex of the empty support has
+# 2^n - 1 cochains at any box (cech --n 16 --box 0 took 65 s), so
+# CECH_BUDGET counts at least 2 slices per axis: box 0 is admitted up to
+# n = 11 (0.2 s) and refused from n = 12 on. The Killing kernel costs
+# more per column as d grows (--n 3 --d 60 took 9.3 s on 5,673 columns),
+# and at d <= 2 killing builds all (n+2)(n+1)/2 named generators, of n
+# components each (--n 240 --d 0 took 31 s), so KILLING_BUDGET counts
+# both. Admitted killing inputs near it took: --n 40 --d 0 0.12 s, --n 40
+# --d 1 0.4 s, --n 28 --d 2 3.4 s, --n 10 --d 4 1.8 s, --n 3 --d 27 0.3 s.
 CECH_BUDGET = 10 ** 7  # max(2*box+1, 2)^n slices times 2^n cover subsets
 YDQ_BUDGET = 20_000  # dim S^d * dim S^2 monomials of bidegree (d, 2)
-KILLING_BUDGET = 10_000  # n * dim S^d columns of the Killing operator
+KILLING_BUDGET = 36_000  # n * max((d+1) * dim S^d, (n+2)(n+1)/2)
 RECONF_BUDGET = 2 * 10 ** 6  # dmax + 1 rows times n^2 weight-entry pairs
 CONTINUITY_BUDGET = 400  # dmax + 1 rows per n of the range
 BOTT_BUDGET = 500  # weight entries; Bott and Weyl walk every pair of them
 SHEAF_BUDGET = 10_000  # n, the length of the flag weight of S^d(G)(b)
-
-
-def _sym_dim(n, d):
-    # n < 1 is left for the command's own precondition check to refuse
-    return weights.sym_dim(n, d) if n > 0 else 0
 
 
 def _within_budget(name, limit, size):
@@ -41,7 +42,7 @@ def _within_budget(name, limit, size):
         raise ValueError(f"{size} cases exceed {name} = {limit}")
 
 
-def _emit(payload, fmt, tsv_fn=None, pretty_fn=None):
+def _emit(payload, fmt, render):
     # an exact dimension may have more digits than CPython's default
     # int-to-str limit (4300); lift it for printing only (3.10.7+, 3.11+)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -52,11 +53,12 @@ def _emit(payload, fmt, tsv_fn=None, pretty_fn=None):
             payload = dict(payload)
             payload["schema_version"] = SCHEMA_VERSION
             print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        elif fmt in render:
+            print(render[fmt]())
         elif fmt == "tsv":
-            print(tsv_fn() if tsv_fn else _default_tsv(payload))
+            print(_default_tsv(payload))
         else:
-            print(pretty_fn() if pretty_fn else
-                  json.dumps(payload, sort_keys=True, indent=2))
+            print(json.dumps(payload, sort_keys=True, indent=2))
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -65,6 +67,9 @@ def _emit(payload, fmt, tsv_fn=None, pretty_fn=None):
 def _default_tsv(payload):
     return "\n".join(f"{k}\t{payload[k]}" for k in sorted(payload))
 
+
+# Each cmd_* returns (payload, render), render mapping "tsv" or "pretty"
+# to a function that gives the text of that format, where it has its own.
 
 def cmd_bott(args):
     a = tuple(int(x) for x in args.weight.split(","))
@@ -76,8 +81,7 @@ def cmd_bott(args):
         payload = {"weight": list(a), "degree": res[0],
                    "dominant_weight": list(res[1]),
                    "dim": weights.weyl_dim(res[1])}
-    _emit(payload, args.format)
-    return 0
+    return payload, {}
 
 
 def cmd_sheaf(args):
@@ -85,8 +89,7 @@ def cmd_sheaf(args):
     gc = bott.sdg_cohomology_on_P(args.n, args.d, args.b)
     payload = {"n": args.n, "d": args.d, "b": args.b}
     payload.update(bott.graded_to_json(gc))
-    _emit(payload, args.format)
-    return 0
+    return payload, {}
 
 
 def cmd_cech(args):
@@ -96,13 +99,12 @@ def cmd_cech(args):
     rows, totals = cech.punctured_affine_table(args.n, args.box)
     payload = {"n": args.n, "box": args.box}
     payload.update(cech.table_to_json(rows, totals))
-    _emit(payload, args.format, tsv_fn=lambda: cech.table_to_tsv(rows))
-    return 0
+    return payload, {"tsv": lambda: cech.table_to_tsv(rows)}
 
 
 def cmd_ydq(args):
-    _within_budget("YDQ_BUDGET", YDQ_BUDGET,
-                   _sym_dim(args.n, args.d) * _sym_dim(args.n, 2))
+    _within_budget("YDQ_BUDGET", YDQ_BUDGET, weights.sym_dim(args.n, args.d)
+                   * weights.sym_dim(args.n, 2))
     if args.oracle and (args.n > 3 or args.n ** (args.d + 2) > 243):
         raise ValueError("oracle out of range for these parameters")
     ker, coker = young_map.kernel_cokernel_dims(args.n, args.d)
@@ -118,32 +120,30 @@ def cmd_ydq(args):
                 f"({oracle_ker}, {oracle_coker}) vs ({ker}, {coker})"
             )
         payload["oracle"] = "agrees"
-    _emit(payload, args.format)
-    return 0
+    return payload, {}
 
 
 def cmd_killing(args):
+    n, d = args.n, args.d
     _within_budget("KILLING_BUDGET", KILLING_BUDGET,
-                   args.n * _sym_dim(args.n, args.d))
-    basis = killing.ck_kernel(args.n, args.d)
-    payload = {"n": args.n, "d": args.d, "dim": len(basis)}
-    if args.d <= 2:
-        named = [(name, f) for name, f in killing.named_conformal_basis(args.n)
-                 if f.degree == args.d]
+                   n * max((d + 1) * weights.sym_dim(n, d),
+                           (n + 2) * (n + 1) // 2))
+    basis = killing.ck_kernel(n, d)
+    payload = {"n": n, "d": d, "dim": len(basis)}
+    if d <= 2:
+        named = [(name, f) for name, f in killing.named_conformal_basis(n)
+                 if f.degree == d]
         payload["generators"] = killing.basis_to_json(named)
-    _emit(payload, args.format)
-    return 0
+    return payload, {}
 
 
 def cmd_reconf(args):
     _within_budget("RECONF_BUDGET", RECONF_BUDGET,
                    (args.dmax + 1) * args.n ** 2)
     table = reconf.reconf_table(args.n, args.dmax, indexing=args.indexing)
-    payload = reconf.table_to_json(args.n, table)
-    _emit(payload, args.format,
-          tsv_fn=lambda: reconf.table_to_tsv(table),
-          pretty_fn=lambda: reconf.table_to_pretty(args.n, table))
-    return 0
+    return reconf.table_to_json(args.n, table), {
+        "tsv": lambda: reconf.table_to_tsv(table),
+        "pretty": lambda: reconf.table_to_pretty(args.n, table)}
 
 
 def cmd_continuity(args):
@@ -153,35 +153,24 @@ def cmd_continuity(args):
     report = reconf.continuity_report(ns, args.dmax)
     payload = {"dmax": args.dmax,
                "series": {str(n): report[n] for n in report}}
-
-    def pretty():
-        lines = []
-        for n in ns:
-            lines.append(f"n={n}  H0: {report[n]['h0']}")
-            lines.append(f"n={n}  H1: {report[n]['h1']}")
-        return "\n".join(lines)
-
-    _emit(payload, args.format, pretty_fn=pretty)
-    return 0
+    return payload, {"pretty": lambda: "\n".join(
+        f"n={n}  {h.upper()}: {report[n][h]}"
+        for n in ns for h in ("h0", "h1"))}
 
 
 def cmd_selftest(args):
-    checks = []
-
-    def check(name, fn):
-        fn()
-        checks.append(name)
-
-    check("weyl-dim binomials", lambda: _selftest_weyl())
-    check("bott vanishing", lambda: _selftest_bott())
-    check("twisted sheaf table", lambda: _selftest_sheaf_table())
-    check("cech closed form", lambda: cech.punctured_affine_table(3, 2))
-    check("y_dq ranks", lambda: _selftest_ydq())
-    check("so(n+2) isomorphism", lambda: killing.so_np2_isomorphism(3))
-    check("reconf integrity", lambda: reconf.reconf_table(3, 5))
-    payload = {"checks": checks, "status": "ok"}
-    _emit(payload, args.format)
-    return 0
+    checks = [
+        ("weyl-dim binomials", _selftest_weyl),
+        ("bott vanishing", _selftest_bott),
+        ("twisted sheaf table", _selftest_sheaf_table),
+        ("cech closed form", lambda: cech.punctured_affine_table(3, 2)),
+        ("y_dq ranks", _selftest_ydq),
+        ("so(n+2) isomorphism", lambda: killing.so_np2_isomorphism(3)),
+        ("reconf integrity", lambda: reconf.reconf_table(3, 5)),
+    ]
+    for _, check in checks:
+        check()
+    return {"checks": [name for name, _ in checks], "status": "ok"}, {}
 
 
 def _selftest_weyl():
@@ -226,7 +215,10 @@ def _selftest_ydq():
                 f"y_dq at n={n}, d={d} has ker={ker}, coker={coker}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every run shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "tsv", "pretty"],
                         default="json")
@@ -286,19 +278,21 @@ def build_parser():
 
 
 def run(argv):
-    parser = build_parser()
+    """Parse argv, run its command, print its output; return the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 1 if e.code else 0
     try:
-        return args.fn(args)
+        payload, render = args.fn(args)
+        _emit(payload, args.format, render)
     except ArithmeticError as e:
         print(f"integrity failure [{args.command}]: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"error [{args.command}]: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main():

@@ -51,8 +51,9 @@ def pad(lam, n):
 
 
 def sym_dim(n, d):
-    """dim S^d(C^n), as a weight computation."""
-    if d < 0:
+    """dim S^d(C^n), as a weight computation; 0 for d < 0, and for d > 0
+    on n < 1."""
+    if d < 0 or (d > 0 and n < 1):
         return 0
     return weyl_dim(pad((d,), n)) if d > 0 else 1
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -113,6 +114,25 @@ class TestCommands:
             assert (code, bool(out.strip())) == (0, True), (line, err)
 
 
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        # the second command of a process must build no parser, not even
+        # its own subparser
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *a, **k):
+            built.append(self)
+            init(self, *a, **k)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        assert run(capsys, "killing", "--n", "3", "--d", "0")[0] == 0
+        before = len(built)
+        assert run(capsys, "bott", "--weight", "0,0,-3,1")[0] == 0
+        assert len(built) == before
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["reconf", "--n", "4"],  # missing --dmax
@@ -195,7 +215,8 @@ class TestBudgets:
         from liouville import bott, cech, killing, reconf, young_map
 
         work = [(cech, "cech_slice"), (young_map, "kernel_cokernel_dims"),
-                (killing, "ck_kernel"), (reconf, "reconf_table"),
+                (killing, "ck_kernel"), (killing, "named_conformal_basis"),
+                (reconf, "reconf_table"),
                 (bott, "bott_cohomology"), (bott, "sdg_cohomology_on_P")]
         for mod, name in work:
             monkeypatch.setattr(
@@ -216,6 +237,10 @@ class TestBudgets:
         (["cech", "--n", "13", "--box", "0"], "CECH_BUDGET"),
         (["ydq", "--n", "12", "--d", "9"], "YDQ_BUDGET"),
         (["killing", "--n", "15", "--d", "6"], "KILLING_BUDGET"),
+        # 9,963 columns, each costlier as d grows: this took 32 s
+        (["killing", "--n", "3", "--d", "80"], "KILLING_BUDGET"),
+        # 240 columns, but 29,161 named generators to build: this took 31 s
+        (["killing", "--n", "240", "--d", "0"], "KILLING_BUDGET"),
         (["reconf", "--n", "3", "--dmax", "300000"], "RECONF_BUDGET"),
         (["continuity", "--n-range", "2,3", "--dmax", "200"],
          "CONTINUITY_BUDGET"),
@@ -230,7 +255,8 @@ class TestBudgets:
         # a repeated n would compute its series twice
         (["continuity", "--n-range", "3,3", "--dmax", "4"],
          "n_range repeats an n"),
-    ], ids=["cech", "cech-box-0", "ydq", "killing", "reconf", "continuity",
+    ], ids=["cech", "cech-box-0", "ydq", "killing", "killing-high-degree",
+            "killing-generators", "reconf", "continuity",
             "bott", "sheaf", "cech-negative-box", "cech-negative-n",
             "continuity-negative-dmax", "continuity-n-out-of-range",
             "continuity-repeated-n"])
@@ -250,12 +276,13 @@ class TestBudgets:
         (["cech", "--n", "11", "--box", "0"], ([], {})),
         (["ydq", "--n", "7", "--d", "4"], (0, 0)),
         (["killing", "--n", "6", "--d", "5"], []),
+        (["killing", "--n", "10", "--d", "4"], []),
         (["reconf", "--n", "3", "--dmax", "200000"], {}),
         (["continuity", "--n-range", "2", "--dmax", "399"], {}),
         (["bott", "--weight=" + ",".join(["0"] * 500)], None),
         (["sheaf", "--n", "10000", "--d", "1", "--b", "1"], {}),
-    ], ids=["cech", "cech-box-0", "ydq", "killing", "reconf", "continuity",
-            "bott", "sheaf"])
+    ], ids=["cech", "cech-box-0", "ydq", "killing", "killing-n10-d4",
+            "reconf", "continuity", "bott", "sheaf"])
     def test_admits_larger_sizes(self, capsys, heavy, argv, result):
         heavy(argv[0], result)
         assert run(capsys, *argv)[0] == 0

@@ -147,8 +147,19 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
-def test_output_digest(capsys, argv, digest):
+def output_digest(capsys, argv):
     code = cli.run(argv.split())
     out = capsys.readouterr().out
-    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_output_digest(capsys, argv, digest):
+    assert output_digest(capsys, argv) == digest
+
+
+def test_reverse_order_in_one_process(capsys):
+    # the parser is shared by every run of a process: refusals and usage
+    # errors first must leave nothing behind for the runs after them
+    for argv, digest in reversed(GOLDEN):
+        assert output_digest(capsys, argv) == digest, argv

@@ -1,8 +1,10 @@
-"""Each narrative demo, and the selftest, runs warning-free against the
-source tree."""
+"""Each narrative demo, the README's Python examples and the selftest run
+warning-free against the source tree."""
 
+import doctest
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,18 @@ def test_demo_runs(demo):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_python_examples():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        test = doctest.DocTestParser().get_doctest(
+            block, {}, "README.md", str(ROOT / "README.md"), 0)
+        report = []
+        result = doctest.DocTestRunner().run(test, out=report.append)
+        assert result.attempted and not result.failed, "".join(report)
 
 
 def test_selftest_is_clean_in_dev_mode():

@@ -67,6 +67,12 @@ class TestWeylDim:
         assert weights.sym_dim(n, 0) == 1
         assert weights.sym_dim(n, -1) == weights.sym_dim(n, -3) == 0
 
+    @pytest.mark.parametrize("n", [0, -1, -4])
+    def test_sym_dim_vanishes_without_variables(self, n):
+        # the CLI budgets count a size of 0 before n is checked
+        assert weights.sym_dim(n, 0) == 1
+        assert weights.sym_dim(n, 1) == weights.sym_dim(n, 5) == 0
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exterior_powers_are_binomials(self, n):
         for p in range(n + 1):
