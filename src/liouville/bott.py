@@ -63,14 +63,19 @@ def graded_dims(gc):
     return {i: weights.isotypic_dim(terms) for i, terms in gc.items()}
 
 
+def coker_dim_formula(n, d):
+    """dim Sigma^{d,2} - dim S^d for C^n; the cokernel size when injective."""
+    return weyl_dim(pad((d, 2), n)) - weyl_dim(pad((d,), n))
+
+
 def les_restriction_to_Q(n, d):
     """Cohomology of S^d(G)(1)|_Q from the multiplication-by-q sequence.
 
     Combines the cohomology of S^d(G)(-1) and S^d(G)(1) on P(M). For
     d >= 3 the connecting map is the vertical Young multiplication in
-    degree d-1, which is injective; its cokernel dimension is the
-    Weyl-dimension difference dim Sigma^{d-1,2} - dim S^{d-1}, checked
-    against the two Bott sides. Returns {i: dimension}.
+    degree d-1, which is injective; its cokernel dimension is
+    coker_dim_formula(n, d-1), checked against the two Bott sides.
+    Returns {i: dimension}.
     """
     if n < 3:
         raise ValueError("the quadric bookkeeping needs n >= 3")
@@ -92,7 +97,7 @@ def les_restriction_to_Q(n, d):
     # d >= 3: both sides live in H^1; the connecting map is injective
     src = weights.isotypic_dim(inner[1])   # S^{d-1}(M*)
     dst = weights.isotypic_dim(outer[1])   # Sigma^{d-1,2}(M*)
-    coker = weyl_dim(pad((d - 1, 2), n)) - weyl_dim(pad((d - 1,), n))
+    coker = coker_dim_formula(n, d - 1)
     if coker != dst - src:
         raise ArithmeticError(
             f"cokernel dimension {coker} inconsistent with "

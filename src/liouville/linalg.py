@@ -1,119 +1,114 @@
 """Exact rational linear algebra: rank, nullspace, RREF.
 
-One sparse fraction-free eliminator does all of it. Vectors are
-{index: value} dicts with int or Fraction values; each is cleared to a
-primitive integer vector and reduced against the pivots found so far with
-integer cross-multiplication (Bareiss-style, no Fractions inside the
-loop). A back-substitution pass then gives the reduced row echelon form,
-which is unique, so kernels and solutions are reproducible bit-for-bit.
-Matrices come as sparse columns {row: value}; rref hands back sparse
-rows {column: Fraction} and nullspace sparse vectors {column: Fraction}.
-Only `rank` takes dense rows, for small dense inputs such as a Gram
-matrix.
+One sparse fraction-free column echelon does all of it. Matrices come as
+sparse columns {row: value} with int or Fraction values. Each column j is
+cleared to integers, tagged {j: denominator}, and reduced against the
+pivots found so far by integer cross-multiplication (Bareiss-style, no
+Fractions inside the loop); every combination is applied to its tag as
+well, so a tag always says which combination of the input columns its
+vector is. A column that reduces to zero leaves its tag as a relation:
+the kernel vector with a nonzero entry at j and its other entries on
+the pivot columns before j. That vector is unique up to scale, so the
+kernel scaled to 1 at each free column and the reduced row echelon form
+read off the relations are reproducible bit-for-bit. rref hands back
+sparse rows {column: Fraction} and nullspace sparse vectors
+{column: Fraction}. Only `rank` takes dense rows, for small dense inputs
+such as a Gram matrix.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 
-def _primitive(vec):
-    """Nonzero entries of a sparse vector, scaled to coprime integers."""
-    denom = 1
-    for x in vec.values():
-        if isinstance(x, Fraction):
-            denom = lcm(denom, x.denominator)
-    out = {i: int(x * denom) for i, x in vec.items() if x}
-    g = gcd(*out.values())
-    if g > 1:
-        out = {i: x // g for i, x in out.items()}
+def _combine(u, fu, w, fw):
+    """fu * u - fw * w of sparse integer vectors, zeros dropped."""
+    out = {k: fu * x for k, x in u.items()} if fu != 1 else dict(u)
+    for k, x in w.items():
+        val = out.get(k, 0) - fw * x
+        if val:
+            out[k] = val
+        else:
+            del out[k]
     return out
 
 
-def _eliminate(vec, piv, i):
-    """Integer combination of vec and piv with entry i cancelled."""
-    a, b = piv[i], vec[i]
-    g = gcd(a, b)
-    fa, fb = a // g, b // g
-    new = {}
-    for k in set(vec) | set(piv):
-        val = fa * vec.get(k, 0) - fb * piv.get(k, 0)
-        if val:
-            new[k] = val
-    return new
+def _echelon(columns):
+    """Fraction-free column echelon of a matrix given as sparse columns.
 
-
-def _echelon(vectors, reduced=False):
-    """Fraction-free echelon basis of the span of sparse vectors.
-
-    Returns {lead: vector}, each vector primitive and integral with its
-    smallest index `lead`. Incremental: each vector is reduced against the
-    pivots found so far, which keeps large, mostly-empty matrices cheap.
-    With `reduced`, every pivot vector is also cleared at the other leads.
+    Returns (pivots, relations): the columns that are independent of the
+    ones before them, in order, and {j: tag} for every other column j,
+    where the tag is an integer {column: coefficient} relation (the sum
+    of tag[k] times column k is zero) with tag[j] != 0 and its other keys
+    pivots before j. Incremental: each column is reduced only against
+    the pivots it meets, which keeps large, mostly-empty matrices cheap.
     """
-    pivots = {}
-    for vec in vectors:
-        vec = _primitive(vec)
+    leads, pivots, relations = {}, [], {}
+    for j, col in enumerate(columns):
+        den = 1
+        for x in col.values():
+            if isinstance(x, Fraction):
+                den = lcm(den, x.denominator)
+        vec = {i: int(x * den) for i, x in col.items() if x}
+        tag = {j: den}
         while vec:
             lead = min(vec)
-            if lead not in pivots:
-                pivots[lead] = _primitive(vec)
+            if lead not in leads:
+                g = gcd(*vec.values(), *tag.values())
+                if g > 1:
+                    vec = {i: x // g for i, x in vec.items()}
+                    tag = {k: x // g for k, x in tag.items()}
+                leads[lead] = vec, tag
+                pivots.append(j)
                 break
-            vec = _eliminate(vec, pivots[lead], lead)
-    if reduced:
-        leads = sorted(pivots)
-        for k in range(len(leads) - 2, -1, -1):
-            vec = pivots[leads[k]]
-            for lead in leads[k + 1:]:
-                if lead in vec:
-                    vec = _eliminate(vec, pivots[lead], lead)
-            pivots[leads[k]] = _primitive(vec)
-    return pivots
+            pvec, ptag = leads[lead]
+            g = gcd(pvec[lead], vec[lead])
+            fu, fw = pvec[lead] // g, vec[lead] // g
+            vec = _combine(vec, fu, pvec, fw)
+            tag = _combine(tag, fu, ptag, fw)
+        else:
+            relations[j] = tag
+    return pivots, relations
 
 
 def rank(rows):
     """Exact rank of a matrix given as a list of dense rows."""
-    return len(_echelon({j: x for j, x in enumerate(r) if x} for r in rows))
+    return len(_echelon({j: x for j, x in enumerate(r) if x}
+                        for r in rows)[0])
 
 
 def rank_sparse(columns):
     """Exact rank of a matrix given as sparse columns ({row: value})."""
-    return len(_echelon(columns))
+    return len(_echelon(columns)[0])
 
 
 def rref(columns):
     """Reduced row echelon form over Q of a matrix given as sparse columns.
 
     Returns (rows, pivot_columns): each row a sparse {column: Fraction}
-    dict with 1 at its pivot column, in pivot order. Inputs are not
-    modified.
+    dict with 1 at its pivot column, in pivot order. A free column j is
+    -tag[p] / tag[j] times pivot column p summed over its relation, so
+    that is row p's entry at j. Inputs are not modified.
     """
-    rows = {}
-    for j, col in enumerate(columns):
-        for i, x in col.items():
-            if x:
-                rows.setdefault(i, {})[j] = x
-    pivots = _echelon(rows.values(), reduced=True)
-    leads = sorted(pivots)
-    return [{j: Fraction(x, pivots[lead][lead])
-             for j, x in pivots[lead].items()} for lead in leads], leads
+    pivots, relations = _echelon(columns)
+    rows = {p: {p: Fraction(1)} for p in pivots}
+    for j, tag in relations.items():
+        for p, x in tag.items():
+            if p != j:
+                rows[p][j] = Fraction(-x, tag[j])
+    return [rows[p] for p in pivots], pivots
 
 
 def nullspace(columns):
     """Basis of the right kernel of a matrix given as sparse columns.
 
-    The basis is read off the reduced row echelon form: one sparse
-    {column: Fraction} vector per free column j, holding 1 at j and minus
-    the pivot rows' entries in column j at their pivots.
+    One sparse {column: Fraction} vector per free column j: its relation
+    scaled to 1 at j, with the entries at its pivot columns in order.
     """
-    red, pivots = rref(columns)
-    pivset = set(pivots)
     basis = []
-    for j in range(len(columns)):
-        if j in pivset:
-            continue
+    for j, tag in _echelon(columns)[1].items():
         v = {j: Fraction(1)}
-        for row, pc in zip(red, pivots):
-            if j in row:
-                v[pc] = -row[j]
+        for p in sorted(tag):
+            if p != j:
+                v[p] = Fraction(tag[p], tag[j])
         basis.append(v)
     return basis

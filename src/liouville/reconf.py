@@ -7,15 +7,10 @@ a hard failure. Default row indexing puts Coker(y_{d,q}) at degree d
 """
 
 from . import bott, killing, young_map
-from .weights import pad, weyl_dim
+from .bott import coker_dim_formula
 
 # exact rank recomputation is enforced inside this envelope
 EXACT_RANGE = {3: 8, 4: 7, 5: 5, 6: 4}
-
-
-def coker_dim_formula(n, d):
-    """dim Sigma^{d,2} - dim S^d for C^n; the cokernel size when injective."""
-    return weyl_dim(pad((d, 2), n)) - weyl_dim(pad((d,), n))
 
 
 def h1_entry(n, d):
@@ -58,7 +53,8 @@ def reconf_table(n, dmax, indexing="source"):
     shift = 0 if indexing == "source" else 1
     for d in range(2, dmax + 1 - shift):
         coker = h1_entry(n, d)
-        # cross-check against the LES route (bundle degree d+1)
+        # cross-check against the LES route (bundle degree d+1), which
+        # checks the same formula against its two Bott sides
         les = bott.les_restriction_to_Q(n, d + 1)
         if les.get(1, 0) != coker or set(les) - {1}:
             raise ArithmeticError(

@@ -48,6 +48,18 @@ def _cases(kind):
     cases = [_random_matrix(rng, kind) for _ in range(60)]
     cases.append([[0] * 4 for _ in range(3)])
     cases.append([[0, 2, 4], [0, 1, 2], [0, 3, 6]])
+    # sparse entries in wide shapes (many relations per pivot), and tall
+    # ones with one more column, twice the first minus the one before it
+    for _ in range(10):
+        m, n = rng.randint(1, 3), rng.randint(8, 14)
+        cases.append([[_entry(rng, kind) for _ in range(n)] for _ in range(m)])
+        tall = [[_entry(rng, kind) for _ in range(min(m, 2))]
+                for _ in range(n)]
+        cases.append([r + [2 * r[0] - r[-1]] for r in tall])
+    # tall with full column rank: scaled Vandermonde columns, no kernel
+    scale = 1 if kind == "int" else Fraction(1, 3)
+    cases.append([[(scale * (i + 1)) ** j for j in range(5)]
+                  for i in range(12)])
     return cases
 
 
