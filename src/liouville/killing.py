@@ -11,9 +11,13 @@ Both sides touch only nonzero terms: the bracket is accumulated term by
 term into one dict per component, each so(n+2) image is built as its
 nonzero entries {(i, j): x} and commutators are taken on those, and each
 entry of a sparse kernel vector becomes one coefficient of a field.
+Coefficients are ints wherever they are integral, so the bracket of the
+named generators runs on ints, and the Jacobi check scales the
+structure constants to ints once.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from . import linalg
@@ -137,33 +141,36 @@ def bracket(xi, eta):
 # Named conformal basis and the so(n+2) comparison
 # ---------------------------------------------------------------------------
 
+def named_generators(n, d):
+    """The named conformal generators of degree d (standard q): the
+    translations P_i at 0, the rotations R_ij and dilation D at 1, the
+    special conformal K_i at 2 and none above."""
+    x = lambda i: Poly.variable(n, i)
+    if d == 0:
+        return [(f"P{i+1}", PolyVectorField(
+            [Poly(n, 0, {(0,) * n: 1 if k == i else 0}) for k in range(n)]))
+                for i in range(n)]
+    out = []
+    if d == 1:
+        for i in range(n):
+            for j in range(i + 1, n):
+                comps = [Poly(n, 1) for _ in range(n)]
+                comps[j] = x(i)
+                comps[i] = x(j).scale(-1)
+                out.append((f"R{i+1}{j+1}", PolyVectorField(comps)))
+        out.append(("D", PolyVectorField([x(k) for k in range(n)])))
+    if d == 2:
+        r2 = QuadraticForm.standard(n).as_poly()
+        for i in range(n):
+            comps = [(x(i) * x(m)).scale(2) for m in range(n)]
+            comps[i] = comps[i] - r2
+            out.append((f"K{i+1}", PolyVectorField(comps)))
+    return out
+
+
 def named_conformal_basis(n):
     """Translations, rotations, dilation, special conformal (standard q)."""
-    basis = []
-    zero = lambda d: Poly(n, d)
-    for i in range(n):
-        basis.append((f"P{i+1}",
-                      PolyVectorField([Poly(n, 0, {(0,) * n: 1}) if k == i
-                                       else zero(0) for k in range(n)])))
-    for i in range(n):
-        for j in range(i + 1, n):
-            comps = [zero(1) for _ in range(n)]
-            comps[j] = Poly.variable(n, i)
-            comps[i] = Poly.variable(n, j).scale(-1)
-            basis.append((f"R{i+1}{j+1}", PolyVectorField(comps)))
-    basis.append(("D", PolyVectorField([Poly.variable(n, k)
-                                        for k in range(n)])))
-    r2 = QuadraticForm.standard(n).as_poly()
-    for i in range(n):
-        comps = []
-        for m in range(n):
-            t = Poly.variable(n, i) * Poly.variable(n, m)
-            t = t.scale(2)
-            if m == i:
-                t = t - r2
-            comps.append(t)
-        basis.append((f"K{i+1}", PolyVectorField(comps)))
-    return basis
+    return [g for d in range(3) for g in named_generators(n, d)]
 
 
 def _terms(field):
@@ -253,11 +260,15 @@ def so_structure_constants(n):
 
 
 def check_jacobi(constants, dim):
-    """Exact Jacobi identity on antisymmetrized structure constants."""
+    """Exact Jacobi identity on antisymmetrized structure constants,
+    decided on ints: the constants are scaled once by the lcm of their
+    denominators, which scales each Jacobi sum by that lcm squared."""
+    den = lcm(*(x.denominator for v in constants.values() for x in v.values()))
     c = {(a, a): {} for a in range(dim)}
     for (a, b), v in constants.items():
-        c[a, b] = v
-        c[b, a] = {k: -x for k, x in v.items()}
+        c[a, b] = {k: x.numerator * (den // x.denominator)
+                   for k, x in v.items()}
+        c[b, a] = {k: -x for k, x in c[a, b].items()}
 
     for a in range(dim):
         for b in range(a + 1, dim):

@@ -1,5 +1,9 @@
 """Homogeneous polynomials over Q in n variables, exact coefficients.
 
+A coefficient is stored as an int when it is integral and as a Fraction
+otherwise (`_exact`), so integer data stays on int arithmetic; the two
+print and compare alike.
+
 Monomials are exponent tuples ordered graded-lexicographically, giving
 every space S^d a canonical basis. The quadratic form q, the q-Laplacian,
 harmonic dimensions and restriction to 2-planes live here.
@@ -9,6 +13,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import linalg
+
+
+def _exact(c):
+    """The rational c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def monomials(n, d):
@@ -25,7 +38,8 @@ def monomials(n, d):
 
 
 class Poly:
-    """Homogeneous polynomial; coeffs maps exponent tuples to Fractions."""
+    """Homogeneous polynomial; coeffs maps exponent tuples to nonzero
+    coefficients, ints when integral and Fractions otherwise."""
 
     def __init__(self, n, degree, coeffs=None):
         self.n = n
@@ -33,8 +47,7 @@ class Poly:
         self.coeffs = {}
         if coeffs:
             for e, c in coeffs.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                c = _exact(c)
                 if c == 0:
                     continue
                 if len(e) != n or sum(e) != degree or min(e, default=0) < 0:
@@ -69,8 +82,11 @@ class Poly:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        return Poly(self.n, self.degree, {e: v * c for e, v in self.coeffs.items()})
+        c = _exact(c)
+        out = Poly(self.n, self.degree)
+        if c:
+            out.coeffs = {e: _exact(v * c) for e, v in self.coeffs.items()}
+        return out
 
     def __mul__(self, other):
         if self.n != other.n:
@@ -142,7 +158,7 @@ class QuadraticForm:
     """Nondegenerate symmetric n x n rational matrix."""
 
     def __init__(self, matrix):
-        mat = [[Fraction(x) for x in row] for row in matrix]
+        mat = [[_exact(x) for x in row] for row in matrix]
         n = len(mat)
         if any(len(row) != n for row in mat):
             raise ValueError("matrix must be square")

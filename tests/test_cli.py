@@ -216,7 +216,7 @@ class TestBudgets:
 
         work = [(cech, "cech_slice"), (young_map, "kernel_cokernel_dims"),
                 (killing, "ck_kernel"), (killing, "named_conformal_basis"),
-                (reconf, "reconf_table"),
+                (killing, "named_generators"), (reconf, "reconf_table"),
                 (bott, "bott_cohomology"), (bott, "sdg_cohomology_on_P")]
         for mod, name in work:
             monkeypatch.setattr(
@@ -239,7 +239,7 @@ class TestBudgets:
         (["killing", "--n", "15", "--d", "6"], "KILLING_BUDGET"),
         # 9,963 columns, each costlier as d grows: this took 32 s
         (["killing", "--n", "3", "--d", "80"], "KILLING_BUDGET"),
-        # 240 columns, but 29,161 named generators to build: this took 31 s
+        # 240 columns, but the budget counts 29,161 named generators
         (["killing", "--n", "240", "--d", "0"], "KILLING_BUDGET"),
         (["reconf", "--n", "3", "--dmax", "300000"], "RECONF_BUDGET"),
         (["continuity", "--n-range", "2,3", "--dmax", "200"],

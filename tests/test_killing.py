@@ -190,6 +190,26 @@ class TestSoNp2:
         assert not ok
         assert len(triple) == 3 and sorted(set(triple)) == list(triple)
 
+    def test_jacobi_on_rational_constants(self):
+        # so(5) with every constant over 6, and in the basis rescaled to
+        # e_a / (a + 1), whose constants c^c_ab (c + 1) / ((a + 1)(b + 1))
+        # mix their denominators: both are Lie algebras, and shifting one
+        # constant by 1/7 breaks either
+        so5 = killing.so_structure_constants(3)
+        for table in (
+                {k: {c: Fraction(x, 6) for c, x in v.items()}
+                 for k, v in so5.items()},
+                {(a, b): {c: Fraction(x * (c + 1), (a + 1) * (b + 1))
+                          for c, x in v.items()}
+                 for (a, b), v in so5.items()}):
+            assert killing.check_jacobi(table, 10) == (True, None)
+            key = next(k for k, v in table.items() if v)
+            c = next(iter(table[key]))
+            table[key] = {**table[key], c: table[key][c] + Fraction(1, 7)}
+            ok, triple = killing.check_jacobi(table, 10)
+            assert not ok
+            assert len(triple) == 3 and sorted(set(triple)) == list(triple)
+
     def test_jacobi_reads_the_reversed_pair(self):
         # so(3): [e0, e1] = e2, [e1, e2] = e0, [e0, e2] = -e1. The constant
         # of (0, 2) enters the one Jacobi sum only as [e2, e0], the

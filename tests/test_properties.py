@@ -1,7 +1,7 @@
 """Hypothesis properties of substitution, the Casimir, the projector
 against the Casimir steps, the integer y_dq columns, y_dq against its
-closed form, the conformal Killing operator, the Lie bracket and Cech
-slices."""
+closed form, the conformal Killing operator, the Lie bracket, the
+int-or-Fraction coefficient representation and Cech slices."""
 
 from fractions import Fraction
 from math import lcm
@@ -345,6 +345,106 @@ def test_bracket_rejects_fields_on_different_spaces():
     for a, b in ((xi, eta), (eta, xi)):
         with pytest.raises(ValueError):
             bracket(a, b)
+
+
+def stored_exactly(coeffs):
+    """Every value is an int when integral, else a Fraction with
+    denominator > 1."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in coeffs)
+
+
+def ref_nonzero(acc):
+    return {e: c for e, c in acc.items() if c}
+
+
+def ref_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_nonzero(out)
+
+
+def ref_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_nonzero(out)
+
+
+def ref_diff(f, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in f.items() if e[i]}
+
+
+def ref_bracket(xi, eta):
+    """[xi, eta]_m = sum_j xi_j d_j eta_m - eta_j d_j xi_m, on Fraction
+    dicts."""
+    n = len(xi)
+    out = []
+    for m in range(n):
+        acc = {}
+        for j in range(n):
+            for a, b, sign in ((xi, eta, 1), (eta, xi, -1)):
+                for e, c in ref_mul(a[j], ref_diff(b[m], j)).items():
+                    acc[e] = acc.get(e, Fraction(0)) + sign * c
+        out.append(ref_nonzero(acc))
+    return out
+
+
+def ref_json(f):
+    return [{"exponents": list(e), "coeff": str(f[e])}
+            for e in sorted(f, reverse=True)]
+
+
+# Fractions of denominator 1, 2 or 3: about half of them integral.
+mixed = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def mixed_cases(draw):
+    """Fraction dicts f, g of degree d and h of degree dh, a scale, a
+    variable, two fields of degree d and a form."""
+    n, d, dh = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(
+        st.integers(0, 2))
+
+    def raw(degree):
+        return draw(st.dictionaries(st.sampled_from(monomials(n, degree)),
+                                    mixed, max_size=5))
+
+    fields = [[raw(d) for _ in range(n)] for _ in range(2)]
+    q = draw(rational_forms(n)) if n > 1 else QuadraticForm(
+        [[draw(mixed.filter(bool))]])
+    return (n, d, dh, raw(d), raw(d), raw(dh), draw(mixed),
+            draw(st.integers(0, n - 1)), fields, q)
+
+
+@bounded(80)
+@given(mixed_cases())
+def test_coefficients_are_ints_exactly_when_integral(case):
+    n, d, dh, f, g, h, c, i, fields, q = case
+    F = Poly(n, d, f)
+    rf = ref_nonzero(f)
+    results = [
+        (F, rf),
+        (F + Poly(n, d, g), ref_add(rf, ref_nonzero(g))),
+        (F * Poly(n, dh, h), ref_mul(rf, ref_nonzero(h))),
+        (F.scale(c), ref_nonzero({e: v * c for e, v in rf.items()})),
+        (F.diff(i), ref_diff(rf, i)),
+    ]
+    xi, eta = (PolyVectorField([Poly(n, d, comp) for comp in fld])
+               for fld in fields)
+    results += zip(bracket(xi, eta).components,
+                   ref_bracket(*([ref_nonzero(comp) for comp in fld]
+                                 for fld in fields)))
+    for poly, want in results:
+        assert stored_exactly(poly.coeffs.values())
+        assert poly.coeffs == want
+        assert poly.to_json() == ref_json(want)
+    assert stored_exactly(x for row in q.matrix for x in row)
+    assert stored_exactly(q.as_poly().coeffs.values())
 
 
 @st.composite
