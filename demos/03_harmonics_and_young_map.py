@@ -7,10 +7,8 @@ S^d x S^2 apart. Injective for n >= 3; for n = 2 the kernel is
 2-dimensional in every degree, matching the conformal Killing picture.
 """
 
-from fractions import Fraction
-
 from liouville import young_map
-from liouville.polyspaces import Poly, QuadraticForm, harmonic_dim
+from liouville.polyspaces import harmonic_dim
 from liouville.weights import pad, weyl_dim
 
 print("Casimir eigenvalues separating the three isotypic pieces of"
@@ -40,12 +38,3 @@ print("harmonic decomposition dim S^d = sum of harmonic dims")
 n, d = 4, 5
 parts = [harmonic_dim(n, d - 2 * j) for j in range(d // 2 + 1)]
 print(f"  n = {n}, d = {d}: {parts}, total {sum(parts)}")
-
-print()
-print("the probe: restricting to random rational 2-planes")
-g = Poly(3, 2, {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(-1)})
-print("  x^2 - y^2 (n = 3, not in ker y_2q) passes the probe?",
-      young_map.plane_harmonicity_test(g, seed=1))
-for f in young_map.y_dq_kernel(2, 2):
-    print(f"  kernel element {f} (n = 2) passes the probe?",
-          young_map.plane_harmonicity_test(f))

@@ -5,8 +5,8 @@ otherwise (`_exact`), so integer data stays on int arithmetic; the two
 print and compare alike.
 
 Monomials are exponent tuples ordered graded-lexicographically, giving
-every space S^d a canonical basis. The quadratic form q, the q-Laplacian,
-harmonic dimensions and restriction to 2-planes live here.
+every space S^d a canonical basis. The quadratic form q, the q-Laplacian
+and harmonic dimensions live here.
 """
 
 from fractions import Fraction
@@ -97,24 +97,6 @@ class Poly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.n, self.degree + other.degree, out)
-
-    def substitute(self, forms):
-        """f(l_1, ..., l_n): variable i becomes the linear Poly forms[i].
-
-        The forms share one ring, whose variable count the result takes.
-        """
-        m = forms[0].n if forms else 0
-        if len(forms) != self.n or any(
-                lin.n != m or lin.degree != 1 for lin in forms):
-            raise ValueError(f"need {self.n} linear forms in one ring")
-        out = Poly(m, self.degree)
-        for e, c in self.coeffs.items():
-            term = Poly(m, 0, {(0,) * m: c})
-            for lin, k in zip(forms, e):
-                for _ in range(k):
-                    term = term * lin
-            out = out + term
-        return out
 
     def diff(self, i):
         out = {}
@@ -244,25 +226,3 @@ def harmonic_dim(n, d, q=None):
     cols, src = laplacian_columns(n, d, q)
     return len(src) - linalg.rank_sparse(cols)
 
-
-def restrict_to_plane(f, e1, e2):
-    """Restrict f to the plane s*e1 + t*e2.
-
-    Returns a degree-d Poly in the 2 variables (s, t). The two vectors must
-    be linearly independent.
-    """
-    if linalg.rank([list(e1), list(e2)]) < 2:
-        raise ValueError("plane basis vectors are linearly dependent")
-    # z_i restricted = e1_i * s + e2_i * t
-    return f.substitute([Poly(2, 1, {(1, 0): a, (0, 1): b})
-                         for a, b in zip(e1, e2)])
-
-
-def restricted_form(q, e1, e2):
-    """q|_E as a QuadraticForm in 2 variables: the Gram matrix of q on
-    e1, e2, summed over the nonzero entries of q."""
-    entries = [(i, j, x) for i, row in enumerate(q.matrix)
-               for j, x in enumerate(row) if x]
-    vecs = (e1, e2)
-    return QuadraticForm([[sum(a[i] * x * b[j] for i, j, x in entries)
-                           for b in vecs] for a in vecs])

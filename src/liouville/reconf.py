@@ -36,7 +36,8 @@ def reconf_table(n, dmax, indexing="source"):
 
     H^0 sits in degrees 0..2 (the conformal algebra, graded by field
     degree); H^1 entries are Coker(y_{d,q}) at degree d ("source"
-    indexing) or d+1 (bundle indexing). Degrees >= 2 never contribute.
+    indexing) or d+1 (bundle indexing). H^i = 0 for i >= 2, as the
+    header of `table_to_pretty` says.
     """
     if n < 3 or dmax < 3:
         raise ValueError("need n >= 3 and dmax >= 3")

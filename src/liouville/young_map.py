@@ -8,12 +8,11 @@ f(x)*q(y). A Young-symmetrizer realization in V^{tensor (d+2)} is kept
 as a small-scale independent oracle.
 """
 
-import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm, prod
 
-from . import linalg, polyspaces
+from . import linalg
 from .polyspaces import Poly, QuadraticForm, monomials
 from .weights import pad, weyl_dim
 
@@ -248,34 +247,3 @@ def young_symmetrizer_oracle(lam, n, q=None):
         y_rank = linalg.rank_sparse(y_cols)
     return r, y_rank
 
-
-# ---------------------------------------------------------------------------
-# Plane-harmonicity probe
-# ---------------------------------------------------------------------------
-
-def plane_harmonicity_test(f, q=None, trials=20, seed=0):
-    """Probe: does f restrict harmonically to random rational 2-planes?
-
-    Necessary condition for membership in ker(y_{d,q}). Returns True iff
-    Delta_{q|_E}(f|_E) vanishes exactly on every sampled plane.
-    """
-    n = f.n
-    if n < 2:
-        raise ValueError("a 2-plane needs n >= 2")
-    q = q if q is not None else QuadraticForm.standard(n)
-    if q.n != n:
-        raise ValueError("variable-count mismatch")
-    rng = random.Random(seed)
-    done = 0
-    while done < trials:
-        e1 = [rng.randint(-5, 5) for _ in range(n)]
-        e2 = [rng.randint(-5, 5) for _ in range(n)]
-        try:
-            qe = polyspaces.restricted_form(q, e1, e2)
-            fe = polyspaces.restrict_to_plane(f, e1, e2)
-        except ValueError:
-            continue  # dependent vectors or degenerate restriction; resample
-        if not polyspaces.laplacian_q(fe, qe).is_zero():
-            return False
-        done += 1
-    return True

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from liouville import bott, cech, killing, reconf, young_map
-from liouville.polyspaces import Poly, monomials
+from liouville.polyspaces import Poly, QuadraticForm, laplacian_q, monomials
 from liouville.weights import pad, weyl_dim
 
 
@@ -153,10 +153,25 @@ def test_criterion_8_oracle_equivalence():
               "for y_2q, n in 2..3", time.perf_counter() - t0, 60.0, ok)
 
 
-def test_criterion_9_plane_harmonicity():
+def seeded_form(n, rng):
+    """A nondegenerate symmetric rational form on C^n, drawn from rng."""
+    while True:
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                mat[i][j] = mat[j][i] = Fraction(rng.randint(-4, 4),
+                                                 rng.randint(1, 5))
+        try:
+            return QuadraticForm(mat)
+        except ValueError:
+            continue
+
+
+def test_criterion_9_kernel_membership():
     t0 = time.perf_counter()
     ok = True
     rng = random.Random(20260826)
+    forms = (QuadraticForm.standard(3), seeded_form(3, rng))
     for d in (2, 3):
         basis = monomials(3, d)
         for _ in range(100):
@@ -165,12 +180,18 @@ def test_criterion_9_plane_harmonicity():
                 coeffs = {e: Fraction(c) for e in basis
                           if (c := rng.randint(-3, 3))}
             f = Poly(3, d, coeffs)
-            ok = ok and not young_map.plane_harmonicity_test(f, seed=7)
-    for d in (2, 3, 4):
-        for f in young_map.y_dq_kernel(2, d):
-            ok = ok and young_map.plane_harmonicity_test(f)
-    report(9, "200 random f (n = 3) fail the plane probe; every ker y_dq "
-              "element (n = 2) passes", time.perf_counter() - t0, 60.0, ok)
+            for q in forms:
+                ok = ok and not young_map.y_dq(f, q).is_zero()
+    for q in (QuadraticForm.standard(2), seeded_form(2, rng)):
+        for d in (2, 3, 4):
+            kernel = young_map.y_dq_kernel(2, d, q)
+            ok = ok and len(kernel) == 2
+            for f in kernel:
+                ok = ok and young_map.y_dq(f, q).is_zero()
+                ok = ok and laplacian_q(f, q).is_zero()
+    report(9, "200 random f (n = 3) are outside ker y_dq under two forms; "
+              "every ker y_dq element (n = 2) is mapped to 0 and is "
+              "q-harmonic", time.perf_counter() - t0, 60.0, ok)
 
 
 def test_criterion_10_graded_truncations_only():

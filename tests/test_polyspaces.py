@@ -5,7 +5,7 @@ import pytest
 
 from liouville import linalg, polyspaces
 from liouville.polyspaces import (Poly, QuadraticForm, harmonic_dim,
-                                  laplacian_q, monomials, restrict_to_plane)
+                                  laplacian_q, monomials)
 
 
 def dense(v, size):
@@ -144,54 +144,3 @@ class TestHarmonicDim:
         for f in basis:
             assert laplacian_q(f, q).is_zero()
 
-
-class TestSubstitute:
-    def test_rejects_wrong_number_of_forms(self):
-        f = Poly(3, 2, {(1, 1, 0): 1})
-        with pytest.raises(ValueError):
-            f.substitute([Poly.variable(2, 0), Poly.variable(2, 1)])
-
-    def test_rejects_forms_in_different_rings(self):
-        f = Poly(2, 1, {(1, 0): 1})
-        with pytest.raises(ValueError):
-            f.substitute([Poly.variable(2, 0), Poly.variable(3, 0)])
-
-    def test_swap_of_variables(self):
-        f = Poly(2, 3, {(2, 1): 3, (0, 3): -1})
-        swap = [Poly.variable(2, 1), Poly.variable(2, 0)]
-        assert f.substitute(swap) == Poly(2, 3, {(1, 2): 3, (3, 0): -1})
-
-
-class TestRestrictToPlane:
-    def test_coordinate_plane(self):
-        f = Poly(3, 2, {(2, 0, 0): 1})
-        got = restrict_to_plane(f, (1, 0, 0), (0, 1, 0))
-        assert got == Poly(2, 2, {(2, 0): 1})
-
-    def test_q_restricts_to_gram(self):
-        q = QuadraticForm.standard(3)
-        got = restrict_to_plane(q.as_poly(), (1, 0, 0), (0, 1, 0))
-        assert got == Poly(2, 2, {(2, 0): 1, (0, 2): 1})
-        gram = polyspaces.restricted_form(q, (1, 0, 0), (0, 1, 0))
-        assert gram.matrix == QuadraticForm.standard(2).matrix
-
-    def test_rejects_dependent_vectors(self):
-        f = Poly(3, 1, {(1, 0, 0): 1})
-        with pytest.raises(ValueError):
-            restrict_to_plane(f, (1, 2, 0), (2, 4, 0))
-
-    def test_commutes_with_mult_by_q(self):
-        rng = random.Random(11)
-        n = 4
-        q = QuadraticForm.standard(n)
-        for _ in range(10):
-            e1 = [rng.randint(-3, 3) for _ in range(n)]
-            e2 = [rng.randint(-3, 3) for _ in range(n)]
-            if linalg.rank([e1, e2]) < 2:
-                continue
-            f = Poly(n, 3, {e: Fraction(rng.randint(-3, 3))
-                            for e in monomials(n, 3)})
-            lhs = restrict_to_plane(q.as_poly() * f, e1, e2)
-            q_e = polyspaces.restricted_form(q, e1, e2)
-            rhs = q_e.as_poly() * restrict_to_plane(f, e1, e2)
-            assert lhs == rhs

@@ -1,10 +1,6 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import permutations, product
-from pathlib import Path
 
 import pytest
 
@@ -193,11 +189,11 @@ class TestYdq:
             coeffs = {e: Fraction(rng.randint(-3, 3))
                       for e in monomials(n, d)}
             f = Poly(n, d, coeffs)
-            f_rot = f.substitute(linear_forms(R, n))
+            f_rot = substitute(f, linear_forms(R, n))
             lhs = ym.y_dq(f_rot, q)
             # x -> R x and y -> R y: the block forms of R + R
             block = linear_forms(R, 2 * n) + linear_forms(R, 2 * n, shift=n)
-            rhs = ym.y_dq(f, q).substitute(block)
+            rhs = substitute(ym.y_dq(f, q), block)
             assert lhs == rhs
 
 
@@ -223,6 +219,19 @@ def cayley_rotation(n, rng):
                 got = sum(R[k][i] * R[k][j] for k in range(n))
                 assert got == (1 if i == j else 0)
         return R
+
+
+def substitute(f, forms):
+    """f(l_1, ..., l_n) for linear Polys l_i in one ring, by Poly * and +."""
+    m = forms[0].n
+    out = Poly(m, f.degree)
+    for e, c in f.coeffs.items():
+        term = Poly(m, 0, {(0,) * m: c})
+        for lin, k in zip(forms, e):
+            for _ in range(k):
+                term = term * lin
+        out = out + term
+    return out
 
 
 def linear_forms(R, width, shift=0):
@@ -333,59 +342,3 @@ class TestSymmetrizerOracle:
                 assert dim_sd - rank_y == ker
                 assert rank_sym - rank_y == coker
 
-
-class TestPlaneHarmonicity:
-    def test_n2_harmonics_pass(self):
-        q = QuadraticForm.standard(2)
-        for d in (2, 3, 4):
-            for f in harmonic_basis(2, d, q):
-                assert ym.plane_harmonicity_test(f, q)
-
-    def test_multiple_of_q_fails(self):
-        q = QuadraticForm.standard(3)
-        g = Poly.variable(3, 0)
-        f = q.as_poly() * g
-        assert not ym.plane_harmonicity_test(f, q, trials=20, seed=3)
-
-    def test_nonzero_quadratic_fails(self):
-        q = QuadraticForm.standard(3)
-        rng = random.Random(17)
-        for _ in range(20):
-            coeffs = {e: Fraction(rng.randint(-4, 4))
-                      for e in monomials(3, 2)}
-            f = Poly(3, 2, coeffs)
-            if f.is_zero():
-                continue
-            assert not ym.plane_harmonicity_test(f, q, trials=30, seed=7)
-
-    def test_kernel_members_pass(self):
-        q = QuadraticForm.standard(2)
-        for d in (2, 3, 4):
-            for f in ym.y_dq_kernel(2, d, q):
-                assert ym.plane_harmonicity_test(f, q)
-
-    @pytest.mark.parametrize("nf,nq", [(4, 3), (3, 4)],
-                             ids=["form-in-fewer-variables",
-                                  "form-in-more-variables"])
-    def test_variable_count_mismatch_is_refused(self, nf, nq):
-        # a q in fewer variables would read only the first nq coordinates
-        # of each sampled vector; one in more would index past them
-        f = Poly.variable(nf, nf - 1) * Poly.variable(nf, 0)
-        with pytest.raises(ValueError, match="variable-count mismatch"):
-            ym.plane_harmonicity_test(f, QuadraticForm.standard(nq))
-
-    def test_n1_is_refused(self):
-        # two vectors of C^1 never span a plane, so resampling for one
-        # would never end: a child with a timeout fails instead of hanging
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("from liouville import young_map\n"
-                "from liouville.polyspaces import Poly\n"
-                "try:\n"
-                "    young_map.plane_harmonicity_test(Poly(1, 2, {(2,): 1}))\n"
-                "except ValueError as e:\n"
-                "    print(e)\n")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=30)
-        assert proc.returncode == 0, proc.stderr
-        assert "needs n >= 2" in proc.stdout
