@@ -11,6 +11,7 @@ import os
 import sys
 
 from . import bott, cech, killing, reconf, weights, young_map
+from .polyspaces import Poly, QuadraticForm, monomials
 
 SCHEMA_VERSION = 1
 
@@ -18,7 +19,7 @@ SCHEMA_VERSION = 1
 # before any work. In process on a 2-vCPU VM (CPython 3.11), inputs near
 # a limit took: reconf --n 3 --dmax 200000 11 s, continuity --n-range 2
 # --dmax 399 12 s, bott --weight 500,499,..,1 4 s, sheaf --n 10000 4 s,
-# ydq --n 7 --d 5 0.3 s, cech --n 6 --box 3 0.05 s. cech solves one
+# ydq --n 7 --d 5 0.13 s, cech --n 6 --box 3 0.05 s. cech solves one
 # complex per negative support, and the complex of the empty support has
 # 2^n - 1 cochains at any box (cech --n 16 --box 0 took 65 s), so
 # CECH_BUDGET counts at least 2 slices per axis: box 0 is admitted up to
@@ -213,6 +214,17 @@ def _selftest_ydq():
         if not ok:
             raise ArithmeticError(
                 f"y_dq at n={n}, d={d} has ker={ker}, coker={coker}")
+        # the closed form behind the columns against the generic projector
+        # on x^e q(y): a multiple of y_dq keeps every rank but fails here
+        q = QuadraticForm.standard(n)
+        qy = q.as_poly().coeffs
+        for e in monomials(n, d):
+            F = Poly(2 * n, d + 2, {e + k: c for k, c in qy.items()})
+            if (young_map.y_dq(Poly.monomial(n, e), q)
+                    != young_map.project_isotypic(F)):
+                raise ArithmeticError(
+                    f"y_dq(x^{e}) at n={n}, d={d} disagrees with the "
+                    f"extremal projector")
 
 
 @functools.cache

@@ -9,8 +9,12 @@ a hard failure. Default row indexing puts Coker(y_{d,q}) at degree d
 from . import bott, killing, young_map
 from .bott import coker_dim_formula
 
-# exact rank recomputation is enforced inside this envelope
-EXACT_RANGE = {3: 8, 4: 7, 5: 5, 6: 4}
+# exact rank recomputation is enforced inside this envelope: every cell
+# whose exact rank, from y_dq's closed form, costs at most 0.9 times that
+# of (6, 4) through the extremal projector (median of paired runs in
+# fresh processes, best of 5 each, on a 2-vCPU VM)
+EXACT_RANGE = {3: 27, 4: 9, 5: 6, 6: 4, 7: 3, 8: 3, 9: 3,
+               10: 2, 11: 2, 12: 2, 13: 2}
 
 
 def h1_entry(n, d):

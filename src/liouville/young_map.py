@@ -4,16 +4,24 @@ Sigma^{d,2} is realized in the polynomials in 2n variables (x, y),
 x_1..x_n then y_1..y_n, as ker R in bidegree (d,2), R = sum_i x_i d/dy_i
 ((GL_n, GL_2) Howe duality), cut out by the sl_2 extremal projector in R
 and L = sum_i y_i d/dx_i alone. The map sends f to the projection of
-f(x)*q(y). A Young-symmetrizer realization in V^{tensor (d+2)} is kept
-as a small-scale independent oracle.
+f(x)*q(y). With B(x, y) = sum a_ij x_i y_j, R kills f(x), R q(y) = 2B and
+R B = q(x), while the derivation L has L B = q(y) and L q(x) = 2B; put
+into the projector these give the closed form
+
+    d(d+1) y_dq(f, q) = d(d-1) f q(y) - 2(d-1) (L f) B + (L^2 f) q(x),
+
+which `y_dq` evaluates in one integer pass. The generic projector,
+`project_isotypic`, is its oracle. A Young-symmetrizer realization in
+V^{tensor (d+2)} is kept as a small-scale independent oracle of the ranks.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import factorial, lcm, prod
 
 from . import linalg
-from .polyspaces import Poly, QuadraticForm, monomials
+from .polyspaces import Poly, QuadraticForm, _exact, monomials
 from .weights import pad, weyl_dim
 
 
@@ -67,6 +75,8 @@ def project_isotypic(F):
     sum_k (-1)^k L^k R^k / (k! (h+2)..(h+k+1)) at h = d - 2, cut at k = 2
     as R^3 kills y-degree 2: 1 - L R / d + L^2 R^2 / (2d(d+1)), run in
     integers as 2d(d+1) G + L(L R^2 G - 2(d+1) R G) and divided once.
+    On F = f(x) q(y) it is y_dq(f, q), which runs the closed form
+    instead: this generic projector is the oracle of that closed form.
     """
     n, d = F.n // 2, F.degree - 2
     if F.n % 2 or any(sum(e[n:]) != 2 for e in F.coeffs):
@@ -87,17 +97,62 @@ def project_isotypic(F):
                 {k: Fraction(c, K) for k, c in out.items() if c})
 
 
+@cache
+def _y_pairs(n):
+    """y-exponent tuples of y_i y_j, indexed [i][j]: one table per n."""
+    return tuple(tuple(tuple((k == i) + (k == j) for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
 def y_dq(f, q):
-    """Vertical Young multiplication by q applied to f, in x and y."""
-    d = f.degree
+    """Vertical Young multiplication by q applied to f, in x and y.
+
+    The projection of f(x) q(y), evaluated from the closed form
+    d(d+1) y = d(d-1) f q(y) - 2(d-1) (L f) B + (L^2 f) q(x) of the module
+    docstring: with f's and q's denominators cleared, each term c x^e of
+    f, each ordered pair i, j of its support and each entry a_kl of q add
+    into one int dict, divided once by K = den_f den_q d(d+1).
+    """
+    n, d = f.n, f.degree
     if d < 2:
         raise ValueError("y_dq needs degree >= 2")
-    if f.n != q.n:
+    if n != q.n:
         raise ValueError("variable-count mismatch")
-    qp = q.as_poly()
-    prod = {ex + ey: cx * cy for ex, cx in f.coeffs.items()
-            for ey, cy in qp.coeffs.items()}
-    return project_isotypic(Poly(2 * f.n, d + 2, prod))
+    den_f = lcm(*(c.denominator for c in f.coeffs.values()))
+    den_q = lcm(*(a.denominator for row in q.matrix for a in row))
+    entries = [(k, l, a.numerator * (den_q // a.denominator))
+               for k, row in enumerate(q.matrix) for l, a in enumerate(row)
+               if a]
+    yy = _y_pairs(n)
+    fq, lb = d * (d - 1), -2 * (d - 1)
+    out = {}
+    for e, c in f.coeffs.items():
+        c = c.numerator * (den_f // c.denominator)
+        support = [i for i, b in enumerate(e) if b]
+        for k, l, a in entries:
+            ca = c * a
+            key = e + yy[k][l]  # f q(y)
+            out[key] = out.get(key, 0) + fq * ca
+            for i in support:
+                m = list(e)
+                m[i] -= 1
+                m[k] += 1
+                key = tuple(m) + yy[i][l]  # (L f) B
+                out[key] = out.get(key, 0) + lb * e[i] * ca
+                m[l] += 1
+                for j in support:
+                    w = e[i] * (e[j] - (i == j))
+                    if w:
+                        m[j] -= 1
+                        key = tuple(m) + yy[i][j]  # (L^2 f) q(x)
+                        out[key] = out.get(key, 0) + w * ca
+                        m[j] += 1
+    K = den_f * den_q * d * (d + 1)
+    # few distinct values recur, so each is reduced by K once
+    exact = {c: _exact(Fraction(c, K)) for c in set(out.values())}
+    y = Poly(2 * n, d + 2)
+    y.coeffs = {k: exact[c] for k, c in out.items() if c}
+    return y
 
 
 def y_dq_columns(n, d, q=None):

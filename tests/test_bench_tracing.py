@@ -32,8 +32,9 @@ def test_every_traced_name_resolves(module):
 
 
 def test_every_column_goes_through_traced_y_dq():
-    # the traced run charges the projector's work to y_dq only if the
-    # column builder calls it once per column of S^3 (10 at n = 3)
+    # the traced run charges the closed form's work (no projector runs on
+    # this path) to y_dq only if the column builder calls it once per
+    # column of S^3 (10 at n = 3)
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
     from liouville import young_map

@@ -181,6 +181,29 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "y_dq at n=2, d=2 has ker=1" in proc.stderr
 
+    def test_doubled_y_dq_fails_selftest(self, capsys, monkeypatch):
+        # twice y_dq has the ranks of y_dq, so only the projector oracle
+        # inside the selftest can tell them apart
+        from liouville import young_map
+        y_dq = young_map.y_dq
+        monkeypatch.setattr(young_map, "y_dq",
+                            lambda f, q: y_dq(f, q).scale(2))
+        code, _, err = run(capsys, "selftest")
+        assert code == 2
+        assert "y_dq(x^(2, 0)) at n=2, d=2 disagrees" in err
+
+    def test_doubled_y_dq_fails_selftest_under_optimize(self):
+        script = ("import sys\n"
+                  "from liouville import cli, young_map\n"
+                  "y_dq = young_map.y_dq\n"
+                  "young_map.y_dq = lambda f, q: y_dq(f, q).scale(2)\n"
+                  "sys.exit(cli.run(['selftest']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=src_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "y_dq(x^(2, 0)) at n=2, d=2 disagrees" in proc.stderr
+
     def test_cech_mismatch_is_2_under_optimize(self):
         script = ("import sys\n"
                   "from liouville import cech, cli\n"

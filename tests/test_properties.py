@@ -1,7 +1,7 @@
 """Hypothesis properties of the Casimir, the projector against the
-Casimir steps, the integer y_dq columns, y_dq against its closed form,
-the conformal Killing operator, the Lie bracket, the int-or-Fraction
-coefficient representation and Cech slices."""
+Casimir steps, the integer y_dq columns, y_dq against its closed form and
+against the projector, the conformal Killing operator, the Lie bracket,
+the int-or-Fraction coefficient representation and Cech slices."""
 
 from fractions import Fraction
 from math import lcm
@@ -184,13 +184,14 @@ def test_int_columns_are_one_multiple_of_y_dq(case):
 
 
 @st.composite
-def forms_and_polys(draw):
+def forms_and_polys(draw, min_terms=1):
     """A random nondegenerate rational form and f in S^d with Fraction
-    coefficients, n = 2..5, d = 2..5."""
+    coefficients and at least min_terms terms, n = 2..5, d = 2..5."""
     n, d = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     coeff = st.builds(Fraction, small, st.integers(1, 7))
     f = Poly(n, d, draw(st.dictionaries(
-        st.sampled_from(monomials(n, d)), coeff, min_size=1, max_size=5)))
+        st.sampled_from(monomials(n, d)), coeff, min_size=min_terms,
+        max_size=5)))
     return f, draw(rational_forms(n))
 
 
@@ -226,6 +227,18 @@ def test_y_dq_closed_form(case):
            + lower(Lf) * qx)
     assert ym.y_dq(f, q).scale(d * (d + 1)) == rhs
 
+
+
+@bounded(60)
+@given(forms_and_polys(min_terms=0))
+def test_y_dq_matches_extremal_projector(case):
+    """The closed form y_dq runs is the generic projector on
+    F = f(x) q(y), F built by Poly arithmetic; the zero f included."""
+    f, q = case
+    n, z = f.n, (0,) * f.n
+    fx = Poly(2 * n, f.degree, {e + z: c for e, c in f.coeffs.items()})
+    qy = Poly(2 * n, 2, {z + e: c for e, c in q.as_poly().coeffs.items()})
+    assert ym.y_dq(f, q) == ym.project_isotypic(fx * qy)
 
 def divergence(xi):
     out = Poly(xi.n, max(xi.degree - 1, 0))
