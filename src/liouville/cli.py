@@ -19,7 +19,7 @@ SCHEMA_VERSION = 1
 # before any work. In process on a 2-vCPU VM (CPython 3.11), inputs near
 # a limit took: reconf --n 3 --dmax 200000 11 s, continuity --n-range 2
 # --dmax 399 12 s, bott --weight 500,499,..,1 4 s, sheaf --n 10000 4 s,
-# ydq --n 7 --d 5 0.13 s, cech --n 6 --box 3 0.05 s. cech solves one
+# ydq --n 7 --d 5 0.05 s, cech --n 6 --box 3 0.05 s. cech solves one
 # complex per negative support, and the complex of the empty support has
 # 2^n - 1 cochains at any box (cech --n 16 --box 0 took 65 s), so
 # CECH_BUDGET counts at least 2 slices per axis: box 0 is admitted up to

@@ -1,19 +1,21 @@
 """Exact rational linear algebra: rank, nullspace, RREF.
 
 One sparse fraction-free column echelon does all of it. Matrices come as
-sparse columns {row: value} with int or Fraction values. Each column j is
-cleared to integers, tagged {j: denominator}, and reduced against the
-pivots found so far by integer cross-multiplication (Bareiss-style, no
-Fractions inside the loop); every combination is applied to its tag as
-well, so a tag always says which combination of the input columns its
-vector is. A column that reduces to zero leaves its tag as a relation:
-the kernel vector with a nonzero entry at j and its other entries on
-the pivot columns before j. That vector is unique up to scale, so the
-kernel scaled to 1 at each free column and the reduced row echelon form
-read off the relations are reproducible bit-for-bit. rref hands back
-sparse rows {column: Fraction} and nullspace sparse vectors
-{column: Fraction}. Only `rank` takes dense rows, for small dense inputs
-such as a Gram matrix.
+sparse columns {row: value} with int or Fraction values. A column of
+nonzero ints, as the y_{d,q} columns are, is taken as it is after one
+type check of its entries; any other column is cleared to integers with
+its zeros dropped. Column j is tagged {j: denominator} and reduced
+against the pivots found so far by integer cross-multiplication
+(Bareiss-style, no Fractions inside the loop); every combination is
+applied to its tag as well, so a tag always says which combination of
+the input columns its vector is. A column that reduces to zero leaves
+its tag as a relation: the kernel vector with a nonzero entry at j and
+its other entries on the pivot columns before j. That vector is unique
+up to scale, so the kernel scaled to 1 at each free column and the
+reduced row echelon form read off the relations are reproducible
+bit-for-bit. rref hands back sparse rows {column: Fraction} and
+nullspace sparse vectors {column: Fraction}. Only `rank` takes dense
+rows, for small dense inputs such as a Gram matrix.
 """
 
 from fractions import Fraction
@@ -44,11 +46,16 @@ def _echelon(columns):
     """
     leads, pivots, relations = {}, [], {}
     for j, col in enumerate(columns):
-        den = 1
+        vec, den = col, 1
         for x in col.values():
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        vec = {i: int(x * den) for i, x in col.items() if x}
+            if type(x) is not int or not x:
+                # a Fraction, even Fraction(3, 1), or a zero: rebuild the
+                # column; an all-int one is kept, as nothing below
+                # modifies vec in place
+                den = lcm(*(v.denominator for v in col.values()))
+                vec = {i: x.numerator * (den // x.denominator)
+                       for i, x in col.items() if x}
+                break
         tag = {j: den}
         while vec:
             lead = min(vec)

@@ -10,7 +10,9 @@ and harmonic dimensions live here.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
+from math import lcm
 
 from . import linalg
 
@@ -165,6 +167,16 @@ class QuadraticForm:
         if self._inverse is None:
             self._inverse = _invert(self.matrix)
         return self._inverse
+
+    @cached_property
+    def integer_entries(self):
+        """(den, entries): den the lcm of the matrix's denominators and
+        entries the (k, l, den * a_kl) of the nonzero a_kl with k <= l,
+        computed on first use, once per form."""
+        den = lcm(*(a.denominator for row in self.matrix for a in row))
+        return den, tuple((k, l, a.numerator * (den // a.denominator))
+                          for k, row in enumerate(self.matrix)
+                          for l, a in enumerate(row[k:], k) if a)
 
     def as_poly(self):
         """q as the polynomial z^T A z."""

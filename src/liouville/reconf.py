@@ -13,8 +13,8 @@ from .bott import coker_dim_formula
 # whose exact rank, from y_dq's closed form, costs at most 0.9 times that
 # of (6, 4) through the extremal projector (median of paired runs in
 # fresh processes, best of 5 each, on a 2-vCPU VM)
-EXACT_RANGE = {3: 27, 4: 9, 5: 6, 6: 4, 7: 3, 8: 3, 9: 3,
-               10: 2, 11: 2, 12: 2, 13: 2}
+EXACT_RANGE = {3: 36, 4: 12, 5: 7, 6: 5, 7: 4, 8: 3, 9: 3,
+               10: 2, 11: 2, 12: 2, 13: 2, 14: 2, 15: 2}
 
 
 def h1_entry(n, d):

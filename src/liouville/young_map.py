@@ -21,7 +21,7 @@ from itertools import permutations, product
 from math import factorial, lcm, prod
 
 from . import linalg
-from .polyspaces import Poly, QuadraticForm, _exact, monomials
+from .polyspaces import Poly, QuadraticForm, monomials
 from .weights import pad, weyl_dim
 
 
@@ -109,9 +109,14 @@ def y_dq(f, q):
 
     The projection of f(x) q(y), evaluated from the closed form
     d(d+1) y = d(d-1) f q(y) - 2(d-1) (L f) B + (L^2 f) q(x) of the module
-    docstring: with f's and q's denominators cleared, each term c x^e of
-    f, each ordered pair i, j of its support and each entry a_kl of q add
-    into one int dict, divided once by K = den_f den_q d(d+1).
+    docstring. q's integer entries den_q a_kl, k <= l, come once per form
+    (`QuadraticForm.integer_entries`); with f's denominators cleared too,
+    each term c x^e of f, each entry and each unordered pair i <= j of
+    f's support add into one int dict. A symmetric term with k != l or
+    i != j stands for two ordered ones and counts twice, and each of B's
+    off-diagonal entries gives its two terms x_k y_l and x_l y_k. The sum
+    is divided once by K = den_f den_q d(d+1): a coefficient is an int
+    when K divides it and a Fraction otherwise.
     """
     n, d = f.n, f.degree
     if d < 2:
@@ -119,10 +124,7 @@ def y_dq(f, q):
     if n != q.n:
         raise ValueError("variable-count mismatch")
     den_f = lcm(*(c.denominator for c in f.coeffs.values()))
-    den_q = lcm(*(a.denominator for row in q.matrix for a in row))
-    entries = [(k, l, a.numerator * (den_q // a.denominator))
-               for k, row in enumerate(q.matrix) for l, a in enumerate(row)
-               if a]
+    den_q, entries = q.integer_entries
     yy = _y_pairs(n)
     fq, lb = d * (d - 1), -2 * (d - 1)
     out = {}
@@ -131,40 +133,49 @@ def y_dq(f, q):
         support = [i for i, b in enumerate(e) if b]
         for k, l, a in entries:
             ca = c * a
+            cq = ca if k == l else 2 * ca  # coefficient of x_k x_l in q
             key = e + yy[k][l]  # f q(y)
-            out[key] = out.get(key, 0) + fq * ca
-            for i in support:
+            out[key] = out.get(key, 0) + fq * cq
+            for s, i in enumerate(support):
                 m = list(e)
                 m[i] -= 1
+                w = lb * e[i] * ca
                 m[k] += 1
-                key = tuple(m) + yy[i][l]  # (L f) B
-                out[key] = out.get(key, 0) + lb * e[i] * ca
+                key = tuple(m) + yy[i][l]  # (L f) B, term x_k y_l
+                out[key] = out.get(key, 0) + w
                 m[l] += 1
-                for j in support:
-                    w = e[i] * (e[j] - (i == j))
+                if k != l:
+                    m[k] -= 1
+                    key = tuple(m) + yy[i][k]  # term x_l y_k
+                    out[key] = out.get(key, 0) + w
+                    m[k] += 1
+                for j in support[s:]:
+                    w = e[i] * (e[j] - 1) if i == j else 2 * e[i] * e[j]
                     if w:
                         m[j] -= 1
                         key = tuple(m) + yy[i][j]  # (L^2 f) q(x)
-                        out[key] = out.get(key, 0) + w * ca
+                        out[key] = out.get(key, 0) + w * cq
                         m[j] += 1
     K = den_f * den_q * d * (d + 1)
-    # few distinct values recur, so each is reduced by K once
-    exact = {c: _exact(Fraction(c, K)) for c in set(out.values())}
     y = Poly(2 * n, d + 2)
-    y.coeffs = {k: exact[c] for k, c in out.items() if c}
+    for key, c in out.items():
+        if c:
+            v, r = divmod(c, K)
+            y.coeffs[key] = Fraction(c, K) if r else v
     return y
 
 
 def y_dq_columns(n, d, q=None):
     """Sparse int columns of y_dq : S^d -> bidegree-(d,2) space, each
-    K y_dq(f, q) for one K = den (4d+4)(2d), den the lcm of the
-    denominators of q's matrix, so rank and kernel are those of y_dq."""
+    y_dq(K x^e, q) for one K = den (4d+4)(2d), den the lcm of the
+    denominators of q's matrix: every coefficient is then already an
+    int, and rank and kernel are those of y_dq."""
     q = q if q is not None else QuadraticForm.standard(n)
-    K = lcm(*(x.denominator for r in q.matrix for x in r)) * 8 * d * (d + 1)
+    K = q.integer_entries[0] * 8 * d * (d + 1)
     src = monomials(n, d)
     index = {k: i for i, k in enumerate(bipoly_basis(n, d, 2))}
-    cols = [{index[k]: c.numerator * (K // c.denominator)
-             for k, c in y_dq(Poly.monomial(n, e), q).coeffs.items()}
+    cols = [{index[k]: c
+             for k, c in y_dq(Poly(n, d, {e: K}), q).coeffs.items()}
             for e in src]
     return cols, src
 

@@ -94,6 +94,26 @@ def test_nullspace_matches_sympy(kind):
         assert basis == expected
 
 
+def test_value_types_do_not_change_results():
+    # all-int columns are taken as they are and the others rebuilt, so the
+    # same matrix as ints, as Fraction(k, 1)s, as a mix of the two, and
+    # scaled by a Fraction must give one rank, RREF and kernel
+    scale = Fraction(-2, 3)
+    for rows in _cases("int"):
+        cols = _columns(rows, keep_zeros=True)
+        copies = [
+            [{i: Fraction(x) for i, x in c.items()} for c in cols],
+            [{i: Fraction(x) if (i + j) % 2 else x for i, x in c.items()}
+             for j, c in enumerate(cols)],
+            [{i: scale * x for i, x in c.items()} for c in cols],
+        ]
+        expected = (linalg.rank_sparse(cols), linalg.rref(cols),
+                    linalg.nullspace(cols))
+        for copy in copies:
+            assert (linalg.rank_sparse(copy), linalg.rref(copy),
+                    linalg.nullspace(copy)) == expected
+
+
 def test_empty_matrices():
     assert linalg.rank([]) == 0
     assert linalg.rank_sparse([]) == 0
