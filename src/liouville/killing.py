@@ -3,17 +3,17 @@
 The conformal Killing operator is the traceless symmetrized gradient
 (with the 2/n trace normalization), on degree-d fields one polynomial of
 bidegree (d - 1, 2) in young_map's (x, y) ring, built with young_map's
-polarization L; its kernel per degree is computed as an exact nullspace.
-The degree-(0,1,2) kernel carries the usual conformal algebra, which is
-matched generator-by-generator against antisymmetric endomorphisms of
-C^{n+2} with a split extension of q.
-Both sides touch only nonzero terms: the bracket is accumulated term by
-term into one dict per component, each so(n+2) image is built as its
-nonzero entries {(i, j): x} and commutators are taken on those, and each
-entry of a sparse kernel vector becomes one coefficient of a field.
-Coefficients are ints wherever they are integral, so the bracket of the
-named generators runs on ints, and the Jacobi check scales the
-structure constants to ints once.
+polarization L. It is built on ints as den n CK, den the lcm of the
+denominators of q: its sparse columns are all ints, one multiple of CK,
+and its kernel per degree is their exact nullspace. The degree-(0,1,2)
+kernel carries the usual conformal algebra, which is matched
+generator-by-generator against antisymmetric endomorphisms of C^{n+2}
+with a split extension of q. Both sides touch only nonzero terms: the
+bracket is accumulated term by term into one dict per component, each
+so(n+2) image is built as its nonzero entries {(i, j): x} and
+commutators are taken on those. Coefficients are ints wherever they are
+integral, so the bracket of the named generators runs on ints, and the
+Jacobi check scales the structure constants to ints once.
 """
 
 from fractions import Fraction
@@ -21,7 +21,7 @@ from math import lcm
 from operator import add
 
 from . import linalg
-from .polyspaces import Poly, QuadraticForm, monomials
+from .polyspaces import Poly, QuadraticForm, _exact, monomials
 from .young_map import _polarize, bipoly_basis
 
 
@@ -41,24 +41,34 @@ class PolyVectorField:
         return all(c.is_zero() for c in self.components)
 
 
-def _ck_term(c, e, q, qy):
-    """CK on the unit field x^e d/dx_c, as {(x, y) exponents: coeff}.
+def _ck_form(n, q):
+    """(den, den q's rows, den q(y)) as ints, den the lcm of the
+    denominators of q's matrix: computed once per call."""
+    if q.n != n:
+        raise ValueError("variable-count mismatch")
+    den = lcm(*(a.denominator for row in q.matrix for a in row))
+    return (den, [[int(a * den) for a in row] for row in q.matrix],
+            {e: int(c * den) for e, c in q.as_poly().coeffs.items()})
+
+
+def _ck_term(c, e, row, qy):
+    """den n CK on the unit field x^e d/dx_c, as {(x, y) exponents: int}.
 
     CK(xi) = 2 L(xi_flat) - (2/n) div(xi) q(y), with L = sum_i y_i d/dx_i
     the polarization of young_map and xi_flat = sum_j (q xi)_j y_j; here
-    2 xi_flat = x^e sum_j 2 q_jc y_j and div(xi) = e_c x^(e - 1_c). `qy`
-    is q(y) as {y exponents: coeff}.
+    2 den n xi_flat = x^e sum_j 2 n (den q)_jc y_j, with `row` den q's
+    row c, and div(xi) = e_c x^(e - 1_c). `qy` is den q(y).
     """
-    n = q.n
-    flat = {e + (0,) * j + (1,) + (0,) * (n - 1 - j): 2 * qjc
-            for j, qjc in enumerate(q.matrix[c]) if qjc}
+    n = len(e)
+    flat = {e + (0,) * j + (1,) + (0,) * (n - 1 - j): 2 * n * a
+            for j, a in enumerate(row) if a}
     out = _polarize(flat, n, 0, n)
     if e[c]:
         ex = e[:c] + (e[c] - 1,) + e[c + 1:]
-        w = Fraction(-2 * e[c], n)
-        for ey, qc in qy.items():
+        w = -2 * e[c]
+        for ey, a in qy.items():
             k = ex + ey
-            out[k] = out.get(k, 0) + w * qc
+            out[k] = out.get(k, 0) + w * a
     return {k: v for k, v in out.items() if v}
 
 
@@ -67,30 +77,33 @@ def ck_operator(xi, q=None):
 
     CK(xi) = sum_ij T_ij y_i y_j, T the traceless symmetrized gradient of
     xi with its index lowered by q, is of bidegree (d - 1, 2) for xi of
-    degree d, and zero iff xi is conformal Killing.
+    degree d, and zero iff xi is conformal Killing. Summed as den n CK
+    (on ints when xi is integral) and divided once.
     """
     n = xi.n
     q = q if q is not None else QuadraticForm.standard(n)
-    qy = q.as_poly().coeffs
+    den, rows, qy = _ck_form(n, q)
     out = {}
     for c, comp in enumerate(xi.components):
         for e, a in comp.coeffs.items():
-            for k, v in _ck_term(c, e, q, qy).items():
+            for k, v in _ck_term(c, e, rows[c], qy).items():
                 out[k] = out.get(k, 0) + a * v
-    return Poly(2 * n, xi.degree + 1, out)
+    return Poly(2 * n, xi.degree + 1,
+                {k: Fraction(v, den * n) for k, v in out.items() if v})
 
 
 def ck_columns(n, d, q=None):
-    """Sparse columns of the conformal Killing operator on degree-d fields.
-
-    Columns run over (component, source monomial); rows over the
-    bidegree-(d - 1, 2) basis of young_map.bipoly_basis.
+    """Sparse int columns of the conformal Killing operator on degree-d
+    fields: column (c, e) is den n CK(x^e d/dx_c) (see _ck_form), and rows
+    run over the bidegree-(d - 1, 2) basis of young_map.bipoly_basis.
     """
     q = q if q is not None else QuadraticForm.standard(n)
-    qy = q.as_poly().coeffs
+    _, rows, qy = _ck_form(n, q)
     src = monomials(n, d)
-    index = {k: i for i, k in enumerate(bipoly_basis(n, max(d - 1, 0), 2))}
-    cols = [{index[k]: v for k, v in _ck_term(c, e, q, qy).items()}
+    if not d:  # CK kills the constant fields
+        return [{} for _ in range(n)], src
+    index = {k: i for i, k in enumerate(bipoly_basis(n, d - 1, 2))}
+    cols = [{index[k]: v for k, v in _ck_term(c, e, rows[c], qy).items()}
             for c in range(n) for e in src]
     return cols, src
 
@@ -113,27 +126,27 @@ def bracket(xi, eta):
     """Lie bracket of vector fields, accumulated term by term.
 
     [xi, eta]_m = sum_j xi_j d_j eta_m - eta_j d_j xi_m: each term of
-    eta_m with e_j > 0 meets each term of xi_j, and the same the other
-    way round, into one dict per component.
+    eta_m with e_j > 0 meets each term of a nonzero xi_j, and the same the
+    other way round, straight into each component Poly's dict.
     """
     n = xi.n
     if eta.n != n:
         raise ValueError("variable-count mismatch")
-    deg = max(xi.degree + eta.degree - 1, 0)
-    comps = []
-    for m in range(n):
-        acc = {}
-        for f, g, sign in ((xi, eta, 1), (eta, xi, -1)):
-            for e, c in g.components[m].coeffs.items():
-                for j, ej in enumerate(e):
-                    if not ej:
-                        continue
-                    de = e[:j] + (ej - 1,) + e[j + 1:]
-                    w = sign * ej * c
-                    for e1, c1 in f.components[j].coeffs.items():
-                        k = tuple(map(add, e1, de))
-                        acc[k] = acc.get(k, 0) + w * c1
-        comps.append(Poly(n, deg, acc))
+    comps = [Poly(n, max(xi.degree + eta.degree - 1, 0)) for _ in range(n)]
+    for f, g, sign in ((xi, eta, 1), (eta, xi, -1)):
+        f_terms = [(j, p.coeffs.items())
+                   for j, p in enumerate(f.components) if p.coeffs]
+        for acc, g_m in zip((p.coeffs for p in comps), g.components):
+            for e, c in g_m.coeffs.items():
+                for j, f_j in f_terms:
+                    if e[j]:
+                        de = e[:j] + (e[j] - 1,) + e[j + 1:]
+                        w = sign * e[j] * c
+                        for e1, c1 in f_j:
+                            k = tuple(map(add, e1, de))
+                            acc[k] = acc.get(k, 0) + w * c1
+    for p in comps:
+        p.coeffs = {k: _exact(v) for k, v in p.coeffs.items() if v}
     return PolyVectorField(comps)
 
 
@@ -262,21 +275,23 @@ def so_structure_constants(n):
 def check_jacobi(constants, dim):
     """Exact Jacobi identity on antisymmetrized structure constants,
     decided on ints: the constants are scaled once by the lcm of their
-    denominators, which scales each Jacobi sum by that lcm squared."""
+    denominators, which scales each Jacobi sum by that lcm squared. Each
+    sum visits only the nonzero brackets, c[a][b] listing the nonzero
+    (m, c^m_ab); a missing or empty bracket is zero."""
     den = lcm(*(x.denominator for v in constants.values() for x in v.values()))
-    c = {(a, a): {} for a in range(dim)}
+    c = [[()] * dim for _ in range(dim)]
     for (a, b), v in constants.items():
-        c[a, b] = {k: x.numerator * (den // x.denominator)
-                   for k, x in v.items()}
-        c[b, a] = {k: -x for k, x in c[a, b].items()}
+        c[a][b] = [(k, x.numerator * (den // x.denominator))
+                   for k, x in v.items() if x]
+        c[b][a] = [(k, -x) for k, x in c[a][b]]
 
     for a in range(dim):
         for b in range(a + 1, dim):
             for cc in range(b + 1, dim):
                 acc = {}
                 for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
-                    for m, v in c[x, y].items():
-                        for t, w in c[m, z].items():
+                    for m, v in c[x][y]:
+                        for t, w in c[m][z]:
                             acc[t] = acc.get(t, 0) + v * w
                 if any(acc.values()):
                     return False, (a, b, cc)

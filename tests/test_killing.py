@@ -92,6 +92,16 @@ class TestCkKernel:
             t = ck_operator(f)
             assert t.is_zero()
 
+    @pytest.mark.parametrize("n, m", [(4, 3), (3, 4)])
+    def test_form_on_another_space_is_refused(self, n, m):
+        q = QuadraticForm.standard(m)
+        xi = PolyVectorField([Poly.variable(n, k) for k in range(n)])
+        for call in (lambda: ck_operator(xi, q),
+                     lambda: killing.ck_columns(n, 1, q),
+                     lambda: ck_kernel(n, 1, q)):
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                call()
+
 
 class TestBracket:
     def test_grading(self):

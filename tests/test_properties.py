@@ -1,7 +1,8 @@
 """Hypothesis properties of the Casimir, the projector against the
 Casimir steps, the integer y_dq columns, y_dq against its closed form and
-against the projector, the conformal Killing operator, the Lie bracket,
-the int-or-Fraction coefficient representation and Cech slices."""
+against the projector, the conformal Killing operator and its int
+columns, the Lie bracket, the Jacobi check, the int-or-Fraction
+coefficient representation and Cech slices."""
 
 from fractions import Fraction
 from math import lcm
@@ -9,8 +10,9 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from liouville import cech, young_map as ym
-from liouville.killing import PolyVectorField, bracket, ck_operator
+from liouville import cech, killing, young_map as ym
+from liouville.killing import (PolyVectorField, bracket, ck_columns,
+                               ck_operator)
 from liouville.polyspaces import Poly, QuadraticForm, monomials
 
 small = st.integers(-3, 3).filter(bool)
@@ -286,6 +288,111 @@ def test_ck_operator_matches_symmetrized_gradient(case):
             m + tuple(ey): c * (1 if i == j else 2)
             for m, c in t.coeffs.items()})
     assert ck_operator(xi, q) == ref
+
+
+@st.composite
+def ck_column_cases(draw):
+    """n = 2..5, field degree 0..3 and a rational form."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+    return n, d, draw(rational_forms(n))
+
+
+@bounded(25)
+@given(ck_column_cases())
+def test_ck_columns_are_one_int_multiple_of_ck_operator(case):
+    """Every ck_columns column is all-int and K * CK(x^e d/dx_c, q), one
+    K = den n for all, den the lcm of the denominators of q's matrix."""
+    n, d, q = case
+    cols, src = ck_columns(n, d, q)
+    index = {k: i for i, k in
+             enumerate(ym.bipoly_basis(n, max(d - 1, 0), 2))}
+    K = lcm(*(x.denominator for row in q.matrix for x in row)) * n
+    assert src == monomials(n, d)
+    assert len(cols) == n * len(src)
+    for j, col in enumerate(cols):
+        c, e = divmod(j, len(src))
+        assert all(type(v) is int and v for v in col.values())
+        xi = PolyVectorField([Poly.monomial(n, src[e]) if k == c
+                              else Poly(n, d) for k in range(n)])
+        img = ck_operator(xi, q)
+        assert col == {index[k]: K * v for k, v in img.coeffs.items()}
+
+
+@st.composite
+def fraction_fields_of_degree_1_to_4(draw):
+    """A field of degree 1..4 with Fraction coefficients on C^n,
+    n = 2..5, and a rational form."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    coeff = st.builds(Fraction, small, st.integers(1, 5))
+    xi = PolyVectorField([Poly(n, d, draw(st.dictionaries(
+        st.sampled_from(monomials(n, d)), coeff, max_size=3)))
+        for _ in range(n)])
+    return xi, draw(rational_forms(n))
+
+
+@bounded(40)
+@given(fraction_fields_of_degree_1_to_4())
+def test_ck_commutes_with_derivatives(case):
+    """CK has constant coefficients: CK(d_i xi) = d/dx_i CK(xi) for every
+    i, with ck_operator's coefficients ints exactly when integral."""
+    xi, q = case
+    ck = ck_operator(xi, q)
+    assert stored_exactly(ck.coeffs.values())
+    for i in range(xi.n):
+        d_xi = PolyVectorField([comp.diff(i) for comp in xi.components])
+        assert ck_operator(d_xi, q) == ck.diff(i)
+
+
+def jacobi_by_all_triples(constants, dim):
+    """Reference Jacobi check on Fractions: every triple a < b < c in
+    order, each bracket antisymmetrized and a missing one zero."""
+    C = {}
+    for (a, b), v in constants.items():
+        C[a, b] = {m: Fraction(x) for m, x in v.items()}
+        C[b, a] = {m: -x for m, x in C[a, b].items()}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            for c in range(b + 1, dim):
+                acc = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for m, u in C.get((x, y), {}).items():
+                        for t, w in C.get((m, z), {}).items():
+                            acc[t] = acc.get(t, 0) + u * w
+                if any(acc.values()):
+                    return False, (a, b, c)
+    return True, None
+
+
+@st.composite
+def perturbed_so_constants(draw):
+    """so(n+2)'s structure constants, n = 3..5, with up to three changes:
+    an entry set to a Fraction (zero included), a bracket emptied or a
+    bracket left out."""
+    n = draw(st.integers(3, 5))
+    dim = (n + 2) * (n + 1) // 2
+    table = killing.so_structure_constants(n)
+    keys = sorted(table)
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(keys))
+        kind = draw(st.sampled_from(["set", "empty", "missing"]))
+        if kind == "set":
+            table[key] = {**table.get(key, {}),
+                          draw(st.integers(0, dim - 1)): draw(mixed)}
+        elif kind == "empty":
+            table[key] = {}
+        else:
+            table.pop(key, None)
+    return table, dim
+
+
+@bounded(40)
+@given(perturbed_so_constants())
+def test_check_jacobi_matches_all_triples(case):
+    """check_jacobi gives the all-triples reference's verdict and first
+    failing triple."""
+    table, dim = case
+    assert killing.check_jacobi(table, dim) == jacobi_by_all_triples(
+        table, dim)
 
 
 def bracket_by_polys(xi, eta):
