@@ -24,12 +24,12 @@ SCHEMA_VERSION = 1
 # 2^n - 1 cochains at any box (cech --n 16 --box 0 took 65 s), so
 # CECH_BUDGET counts at least 2 slices per axis: box 0 is admitted up to
 # n = 11 (0.2 s) and refused from n = 12 on. KILLING_BUDGET weights the
-# Killing kernel's columns by d + 1 (ck_kernel(3, 60) takes 0.25 s on
-# 5,673 columns, ck_kernel(3, 80) 0.40 s) and still counts all
+# Killing kernel's columns by d + 1 (ck_kernel(3, 60) takes 0.07 s on
+# 5,673 columns, ck_kernel(3, 80) 0.11 s) and still counts all
 # (n+2)(n+1)/2 named generators of n components each, though killing
-# builds only those of degree d (the refused --n 240 --d 0 takes 0.8 s).
-# Admitted killing inputs near it took: --n 40 --d 0 0.01 s, --n 40 --d 1
-# 0.31 s, --n 28 --d 2 0.72 s, --n 10 --d 4 0.38 s, --n 3 --d 27 0.06 s.
+# builds only those of degree d (the refused --n 240 --d 0 takes 0.3 s).
+# Admitted killing inputs near it took: --n 40 --d 0 0.005 s, --n 40 --d 1
+# 0.15 s, --n 28 --d 2 0.36 s, --n 10 --d 4 0.14 s, --n 3 --d 27 0.02 s.
 CECH_BUDGET = 10 ** 7  # max(2*box+1, 2)^n slices times 2^n cover subsets
 YDQ_BUDGET = 20_000  # dim S^d * dim S^2 monomials of bidegree (d, 2)
 KILLING_BUDGET = 36_000  # n * max((d+1) * dim S^d, (n+2)(n+1)/2)

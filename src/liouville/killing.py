@@ -136,7 +136,7 @@ def bracket(xi, eta):
     for f, g, sign in ((xi, eta, 1), (eta, xi, -1)):
         f_terms = [(j, p.coeffs.items())
                    for j, p in enumerate(f.components) if p.coeffs]
-        for acc, g_m in zip((p.coeffs for p in comps), g.components):
+        for acc, g_m in zip([p.coeffs for p in comps], g.components):
             for e, c in g_m.coeffs.items():
                 for j, f_j in f_terms:
                     if e[j]:
@@ -146,7 +146,8 @@ def bracket(xi, eta):
                             k = tuple(map(add, e1, de))
                             acc[k] = acc.get(k, 0) + w * c1
     for p in comps:
-        p.coeffs = {k: _exact(v) for k, v in p.coeffs.items() if v}
+        if p.coeffs:
+            p.coeffs = {k: _exact(v) for k, v in p.coeffs.items() if v}
     return PolyVectorField(comps)
 
 
@@ -275,9 +276,8 @@ def so_structure_constants(n):
 def check_jacobi(constants, dim):
     """Exact Jacobi identity on antisymmetrized structure constants,
     decided on ints: the constants are scaled once by the lcm of their
-    denominators, which scales each Jacobi sum by that lcm squared. Each
-    sum visits only the nonzero brackets, c[a][b] listing the nonzero
-    (m, c^m_ab); a missing or empty bracket is zero."""
+    denominators, which scales each Jacobi sum by that lcm squared; it
+    visits only the nonzero brackets, a missing or empty one being zero."""
     den = lcm(*(x.denominator for v in constants.values() for x in v.values()))
     c = [[()] * dim for _ in range(dim)]
     for (a, b), v in constants.items():
