@@ -9,19 +9,22 @@ and its kernel per degree is their exact nullspace. The degree-(0,1,2)
 kernel carries the usual conformal algebra, which is matched
 generator-by-generator against antisymmetric endomorphisms of C^{n+2}
 with a split extension of q. Both sides touch only nonzero terms: the
-bracket is accumulated term by term into one dict per component, each
-so(n+2) image is built as its nonzero entries {(i, j): x} and
-commutators are taken on those. Coefficients are ints wherever they are
-integral, so the bracket of the named generators runs on ints, and the
-Jacobi check scales the structure constants to ints once.
+bracket is accumulated into one dict and returned as its terms
+{(component, exponents): coeff}, each so(n+2) image is built as its
+nonzero entries {(i, j): x} and commutators are taken on those. Values
+are ints wherever they are integral, from the bracket through linalg's
+solve to the structure constants; the Jacobi check scales rational
+constants to ints once.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add
 
 from . import linalg
-from .polyspaces import Poly, QuadraticForm, _exact, monomials
+from .linalg import _exact
+from .polyspaces import Poly, QuadraticForm, monomials
 from .young_map import _polarize, bipoly_basis
 
 
@@ -37,18 +40,17 @@ class PolyVectorField:
         self.degree = degs.pop() if degs else 0
         self.components = comps
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
 
 def _ck_form(n, q):
-    """(den, den q's rows, den q(y)) as ints, den the lcm of the
-    denominators of q's matrix: computed once per call."""
+    """(den, den q's rows, den q(y)) as ints, from q.integer_entries."""
     if q.n != n:
         raise ValueError("variable-count mismatch")
-    den = lcm(*(a.denominator for row in q.matrix for a in row))
-    return (den, [[int(a * den) for a in row] for row in q.matrix],
-            {e: int(c * den) for e, c in q.as_poly().coeffs.items()})
+    den, entries = q.integer_entries
+    rows, qy = [[0] * n for _ in range(n)], {}
+    for k, l, a in entries:
+        rows[k][l] = rows[l][k] = a
+        qy[tuple((i == k) + (i == l) for i in range(n))] = (2 - (k == l)) * a
+    return den, rows, qy
 
 
 def _ck_term(c, e, row, qy):
@@ -123,32 +125,29 @@ def ck_kernel(n, d, q=None):
 
 
 def bracket(xi, eta):
-    """Lie bracket of vector fields, accumulated term by term.
+    """Lie bracket of vector fields, as its nonzero terms
+    {(component, exponents): coeff}, ints where integral.
 
     [xi, eta]_m = sum_j xi_j d_j eta_m - eta_j d_j xi_m: each term of
     eta_m with e_j > 0 meets each term of a nonzero xi_j, and the same the
-    other way round, straight into each component Poly's dict.
+    other way round, straight into one dict.
     """
-    n = xi.n
-    if eta.n != n:
+    if eta.n != xi.n:
         raise ValueError("variable-count mismatch")
-    comps = [Poly(n, max(xi.degree + eta.degree - 1, 0)) for _ in range(n)]
+    acc = {}
     for f, g, sign in ((xi, eta, 1), (eta, xi, -1)):
         f_terms = [(j, p.coeffs.items())
                    for j, p in enumerate(f.components) if p.coeffs]
-        for acc, g_m in zip([p.coeffs for p in comps], g.components):
+        for m, g_m in enumerate(g.components):
             for e, c in g_m.coeffs.items():
                 for j, f_j in f_terms:
                     if e[j]:
                         de = e[:j] + (e[j] - 1,) + e[j + 1:]
                         w = sign * e[j] * c
                         for e1, c1 in f_j:
-                            k = tuple(map(add, e1, de))
+                            k = m, tuple(map(add, e1, de))
                             acc[k] = acc.get(k, 0) + w * c1
-    for p in comps:
-        if p.coeffs:
-            p.coeffs = {k: _exact(v) for k, v in p.coeffs.items() if v}
-    return PolyVectorField(comps)
+    return {k: _exact(v) for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +198,8 @@ def structure_constants(named_basis):
     Returns a dict {(a, b): {c: coeff}} over basis indices a < b.
     """
     fields = [f for _, f in named_basis]
-    targets = {(a, b): _terms(bracket(fields[a], fields[b]))
-               for a in range(len(fields)) for b in range(a + 1, len(fields))}
+    targets = {(a, b): bracket(fields[a], fields[b])
+               for a, b in combinations(range(len(fields)), 2)}
     return _solve([_terms(f) for f in fields], targets,
                   [name for name, _ in named_basis])
 
@@ -269,7 +268,7 @@ def so_structure_constants(n):
     named = conformal_to_so_matrices(n)
     mats = [m for _, m in named]
     targets = {(a, b): _comm(mats[a], mats[b])
-               for a in range(len(mats)) for b in range(a + 1, len(mats))}
+               for a, b in combinations(range(len(mats)), 2)}
     return _solve(mats, targets, [name for name, _ in named])
 
 
@@ -285,16 +284,14 @@ def check_jacobi(constants, dim):
                    for k, x in v.items() if x]
         c[b][a] = [(k, -x) for k, x in c[a][b]]
 
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for cc in range(b + 1, dim):
-                acc = {}
-                for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
-                    for m, v in c[x][y]:
-                        for t, w in c[m][z]:
-                            acc[t] = acc.get(t, 0) + v * w
-                if any(acc.values()):
-                    return False, (a, b, cc)
+    for a, b, cc in combinations(range(dim), 3):
+        acc = {}
+        for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
+            for m, v in c[x][y]:
+                for t, w in c[m][z]:
+                    acc[t] = acc.get(t, 0) + v * w
+        if any(acc.values()):
+            return False, (a, b, cc)
     return True, None
 
 

@@ -13,13 +13,22 @@ its tag as a relation: the kernel vector with a nonzero entry at j and
 its other entries on the pivot columns before j. That vector is unique
 up to scale, so the kernel scaled to 1 at each free column and the
 reduced row echelon form read off the relations are reproducible
-bit-for-bit. rref hands back sparse rows {column: Fraction} and
-nullspace sparse vectors {column: Fraction}. Only `rank` takes dense
+bit-for-bit. rref and nullspace hand back sparse rows and vectors
+{column: value}, ints where integral (`_exact`). Only `rank` takes dense
 rows, for small dense inputs such as a Gram matrix.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def _exact(c):
+    """The rational c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _combine(u, fu, w, fw):
@@ -91,31 +100,33 @@ def rank_sparse(columns):
 def rref(columns):
     """Reduced row echelon form over Q of a matrix given as sparse columns.
 
-    Returns (rows, pivot_columns): each row a sparse {column: Fraction}
+    Returns (rows, pivot_columns): each row a sparse {column: value}
     dict with 1 at its pivot column, in pivot order. A free column j is
     -tag[p] / tag[j] times pivot column p summed over its relation, so
-    that is row p's entry at j. Inputs are not modified.
+    that is row p's entry at j, an int where integral. Inputs are not
+    modified.
     """
     pivots, relations = _echelon(columns)
-    rows = {p: {p: Fraction(1)} for p in pivots}
+    rows = {p: {p: 1} for p in pivots}
     for j, tag in relations.items():
         for p, x in tag.items():
             if p != j:
-                rows[p][j] = Fraction(-x, tag[j])
+                rows[p][j] = _exact(Fraction(-x, tag[j]))
     return [rows[p] for p in pivots], pivots
 
 
 def nullspace(columns):
     """Basis of the right kernel of a matrix given as sparse columns.
 
-    One sparse {column: Fraction} vector per free column j: its relation
-    scaled to 1 at j, with the entries at its pivot columns in order.
+    One sparse {column: value} vector (ints where integral) per free
+    column j: its relation scaled to 1 at j, with the entries at its pivot
+    columns in order.
     """
     basis = []
     for j, tag in _echelon(columns)[1].items():
-        v = {j: Fraction(1)}
+        v = {j: 1}
         for p in sorted(tag):
             if p != j:
-                v[p] = Fraction(tag[p], tag[j])
+                v[p] = _exact(Fraction(tag[p], tag[j]))
         basis.append(v)
     return basis

@@ -1,29 +1,20 @@
 """Homogeneous polynomials over Q in n variables, exact coefficients.
 
 A coefficient is stored as an int when it is integral and as a Fraction
-otherwise (`_exact`), so integer data stays on int arithmetic; the two
-print and compare alike.
+otherwise (`linalg._exact`), so integer data stays on int arithmetic;
+the two print and compare alike.
 
 Monomials are exponent tuples ordered graded-lexicographically, giving
 every space S^d a canonical basis. The quadratic form q, the q-Laplacian
 and harmonic dimensions live here.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm
 
 from . import linalg
-
-
-def _exact(c):
-    """The rational c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+from .linalg import _exact
 
 
 def monomials(n, d):
@@ -198,7 +189,7 @@ def _invert(mat):
     red, pivots = linalg.rref(cols + [{j: 1} for j in range(n)])
     if pivots[:n] != list(range(n)):
         raise ValueError("quadratic form is degenerate")
-    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in red]
+    return [[row.get(n + j, 0) for j in range(n)] for row in red]
 
 
 def laplacian_q(f, q):

@@ -73,3 +73,16 @@ def test_every_rref_caller_passes_int_keyed_columns():
         killing.so_np2_isomorphism(3)
         QuadraticForm([[2, 1], [1, 3]]).inverse
     assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 3
+
+
+def test_so_identification_traces_one_bracket_per_pair():
+    # the traced so-structure pass reads the bracket's cost off
+    # killing.bracket, so structure_constants must call it by its module
+    # name once per basis pair: the 45 pairs of so(5)'s 10 generators
+    for module in TRACED:
+        importlib.import_module(f"liouville.{module}")
+    from liouville import killing
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        killing.so_np2_isomorphism(3)
+    assert tracing.layer_metrics(tracer.spans)["killing.bracket.calls"] == 45

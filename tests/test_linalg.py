@@ -80,7 +80,8 @@ def test_rref_matches_sympy(kind):
         assert pivots == list(expected_pivots)
         assert red == [{j: _fraction(x) for j, x in enumerate(expected.row(i))
                         if x} for i in range(len(pivots))]
-        assert all(type(x) is Fraction for row in red for x in row.values())
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for row in red for x in row.values())
         assert all(row[pc] == 1 for row, pc in zip(red, pivots))
         assert linalg.rref(_columns(rows, keep_zeros=True)) == (red, pivots)
 
@@ -92,6 +93,9 @@ def test_nullspace_matches_sympy(kind):
         expected = [[_fraction(x) for x in v]
                     for v in sympy.Matrix(rows).nullspace()]
         assert basis == expected
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for v in linalg.nullspace(_columns(rows))
+                   for x in v.values())
 
 
 def test_value_types_do_not_change_results():

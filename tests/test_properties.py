@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from liouville import cech, killing, young_map as ym
-from liouville.killing import (PolyVectorField, bracket, ck_columns,
-                               ck_operator)
+from liouville.killing import (PolyVectorField, _terms, bracket,
+                               ck_columns, ck_operator)
 from liouville.polyspaces import Poly, QuadraticForm, monomials
 
 small = st.integers(-3, 3).filter(bool)
@@ -433,11 +433,12 @@ def field_pairs(draw):
 @given(field_pairs())
 def test_bracket_matches_poly_arithmetic(case):
     xi, eta = case
-    ref = bracket_by_polys(xi, eta)
+    ref = _terms(bracket_by_polys(xi, eta))
     br = bracket(xi, eta)
-    assert br.components == ref.components
-    assert br.degree == ref.degree
-    assert bracket(eta, xi).components == [c.scale(-1) for c in ref.components]
+    assert br == ref
+    d = max(xi.degree + eta.degree - 1, 0)
+    assert all(sum(e) == d for _, e in br)
+    assert bracket(eta, xi) == {k: -v for k, v in ref.items()}
 
 
 def test_bracket_rejects_fields_on_different_spaces():
@@ -537,9 +538,12 @@ def test_coefficients_are_ints_exactly_when_integral(case):
     ]
     xi, eta = (PolyVectorField([Poly(n, d, comp) for comp in fld])
                for fld in fields)
-    results += zip(bracket(xi, eta).components,
-                   ref_bracket(*([ref_nonzero(comp) for comp in fld]
-                                 for fld in fields)))
+    # the bracket's terms grouped per component, their values as returned
+    comps = [Poly(n, max(2 * d - 1, 0)) for _ in range(n)]
+    for (m, e), v in bracket(xi, eta).items():
+        comps[m].coeffs[e] = v
+    results += zip(comps, ref_bracket(*([ref_nonzero(comp) for comp in fld]
+                                        for fld in fields)))
     for poly, want in results:
         assert stored_exactly(poly.coeffs.values())
         assert poly.coeffs == want
