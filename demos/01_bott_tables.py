@@ -24,12 +24,11 @@ print(f"full table of S^d(G)(b) on the projectivized cone, n = {n}")
 print(f"{'d':>3} {'b':>3}  cohomology")
 for d in range(7):
     for b in (-1, 1):
-        gc = bott.sdg_cohomology_on_P(n, d, b)
-        if not gc:
+        res = bott.sdg_cohomology_on_P(n, d, b)
+        if res is None:
             desc = "zero"
         else:
-            i, table = next(iter(gc.items()))
-            lam = next(iter(table))
+            i, lam = res
             desc = f"H^{i} = Schur functor of weight {lam}, " \
                    f"dim {weights.weyl_dim(lam)}"
         print(f"{d:>3} {b:>3}  {desc}")

@@ -48,19 +48,14 @@ def sdg_weight(n, d, b):
 
 
 def sdg_cohomology_on_P(n, d, b):
-    """Graded cohomology of S^d(G)(b) on P(M): {i: {weight: mult}}."""
+    """Cohomology of S^d(G)(b) on P(M): None, or (degree, weight).
+
+    S^d(G)(b) is irreducible, so Bott's theorem puts all of its
+    cohomology in one degree, as one piece of multiplicity 1.
+    """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    res = bott_cohomology(sdg_weight(n, d, b))
-    if res is None:
-        return {}
-    i, lam = res
-    return {i: {lam: 1}}
-
-
-def graded_dims(gc):
-    """Dimension summary {i: dim} of a graded cohomology object."""
-    return {i: weights.isotypic_dim(terms) for i, terms in gc.items()}
+    return bott_cohomology(sdg_weight(n, d, b))
 
 
 def coker_dim_formula(n, d):
@@ -68,44 +63,45 @@ def coker_dim_formula(n, d):
     return weyl_dim(pad((d, 2), n)) - weyl_dim(pad((d,), n))
 
 
+def _dim_in_degree(n, d, b, degree):
+    """dim of the cohomology of S^d(G)(b), which must sit in `degree`, or
+    vanish where `degree` is None; any other answer is an integrity failure."""
+    res = sdg_cohomology_on_P(n, d, b)
+    got = None if res is None else res[0]
+    if got != degree:
+        raise ArithmeticError(
+            f"S^{d}(G)({b}) on P(C^{n}) has cohomology in degree {got}, "
+            f"not {degree}")
+    return 0 if res is None else weyl_dim(res[1])
+
+
 def les_restriction_to_Q(n, d):
     """Cohomology of S^d(G)(1)|_Q from the multiplication-by-q sequence.
 
-    Combines the cohomology of S^d(G)(-1) and S^d(G)(1) on P(M). For
-    d >= 3 the connecting map is the vertical Young multiplication in
-    degree d-1, which is injective; its cokernel dimension is
-    coker_dim_formula(n, d-1), checked against the two Bott sides.
+    Combines the cohomology of S^d(G)(-1) (inner) and S^d(G)(1) (outer) on
+    P(M), each required in the degree the eight-case table gives it. For
+    d <= 2 everything lands in H^0. For d >= 3 the connecting map
+    H^1(inner) -> H^1(outer) is the vertical Young multiplication in degree
+    d-1, which is injective, and H^1 is Bott's number dim H^1(outer) -
+    dim H^1(inner); `reconf_table` checks it against coker_dim_formula.
     Returns {i: dimension}.
     """
     if n < 3:
         raise ValueError("the quadric bookkeeping needs n >= 3")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    inner = sdg_cohomology_on_P(n, d, -1)
-    outer = sdg_cohomology_on_P(n, d, +1)
-    if d == 0:
-        # 0 -> H^0(S^0(G)(1)) -> H^0(restriction) -> H^1(inner) = 0
-        if inner or set(outer) != {0}:
-            raise ArithmeticError(
-                f"degree 0 restriction at n={n}: inner {inner}, outer {outer}")
-        return {0: weights.isotypic_dim(outer[0])}
-    if d in (1, 2):
-        # inner contributes H^1 shifted into H^0 of the restriction
-        dim0 = weights.isotypic_dim(outer.get(0, {}))
-        dim0 += weights.isotypic_dim(inner.get(1, {}))
-        return {0: dim0}
-    # d >= 3: both sides live in H^1; the connecting map is injective
-    src = weights.isotypic_dim(inner[1])   # S^{d-1}(M*)
-    dst = weights.isotypic_dim(outer[1])   # Sigma^{d-1,2}(M*)
-    coker = coker_dim_formula(n, d - 1)
-    if coker != dst - src:
-        raise ArithmeticError(
-            f"cokernel dimension {coker} inconsistent with "
-            f"injectivity at n={n}, d={d}: expected {dst - src}"
-        )
-    return {1: coker} if coker else {}
+    inner = _dim_in_degree(n, d, -1, None if d == 0 else 1)
+    outer = _dim_in_degree(n, d, +1, (0, 0, None)[d] if d < 3 else 1)
+    if d < 3:
+        # H^0(outer) -> H^0(restriction) -> H^1(inner) -> H^1(outer) = 0
+        return {0: outer + inner}
+    return {1: outer - inner}
 
 
 def graded_to_json(gc):
-    out = {str(i): weights.isotypic_to_json(terms) for i, terms in gc.items()}
-    return {"cohomology": out, "dims": {str(i): d for i, d in graded_dims(gc).items()}}
+    """JSON form of a `sdg_cohomology_on_P` answer."""
+    if gc is None:
+        return {"cohomology": {}, "dims": {}}
+    i, lam = gc
+    return {"cohomology": {str(i): [{"weight": list(lam), "multiplicity": 1}]},
+            "dims": {str(i): weyl_dim(lam)}}

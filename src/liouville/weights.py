@@ -1,4 +1,4 @@
-"""GL(n) weights: dominance, the Weyl dimension formula, isotypic sums.
+"""GL(n) weights: dominance and the Weyl dimension formula.
 
 A weight is a plain tuple of n integers. Dominance (weakly decreasing) is
 checked where an operation requires it, never baked into a type, since
@@ -57,14 +57,3 @@ def sym_dim(n, d):
         return 0
     return weyl_dim(pad((d,), n)) if d > 0 else 1
 
-
-def isotypic_to_json(terms):
-    """IsotypicSum as a JSON-ready list of {weight, multiplicity} records."""
-    return [
-        {"weight": list(w), "multiplicity": m}
-        for w, m in sorted(terms.items(), reverse=True)
-    ]
-
-
-def isotypic_dim(terms):
-    return sum(m * weyl_dim(w) for w, m in terms.items())

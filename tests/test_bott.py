@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from liouville import bott, weights
+from liouville import bott, reconf, weights
 from liouville.weights import pad, weyl_dim
 
 
@@ -39,20 +39,25 @@ def dualize(lam):
     return tuple(-x for x in reversed(lam))
 
 
-# the eight statement rows: expected {degree: weight} per (d-pattern, b)
+# the eight statement rows: expected (degree, weight) per (d-pattern, b)
 def statement_table_expected(n, d, b):
     if b == -1:
         if d == 0:
-            return {}
-        return {1: dualize(pad((d - 1,), n))}  # S^{d-1}(M*)
+            return None
+        return 1, dualize(pad((d - 1,), n))  # S^{d-1}(M*)
     # b == +1
     if d == 0:
-        return {0: dualize(pad((1,), n))}      # M*
+        return 0, dualize(pad((1,), n))      # M*
     if d == 1:
-        return {0: dualize(pad((1, 1), n))}    # Lambda^2(M*)
+        return 0, dualize(pad((1, 1), n))    # Lambda^2(M*)
     if d == 2:
-        return {}
-    return {1: dualize(pad((d - 1, 2), n))}    # Sigma^{d-1,2}(M*)
+        return None
+    return 1, dualize(pad((d - 1, 2), n))    # Sigma^{d-1,2}(M*)
+
+
+def dims(gc):
+    """{degree: dim} of a sdg_cohomology_on_P answer."""
+    return {} if gc is None else {gc[0]: weyl_dim(gc[1])}
 
 
 class TestSheafCohomologyOnP:
@@ -61,18 +66,19 @@ class TestSheafCohomologyOnP:
         for d in range(11):
             for b in (-1, 1):
                 gc = bott.sdg_cohomology_on_P(n, d, b)
-                expected = statement_table_expected(n, d, b)
-                assert {i: list(t)[0] for i, t in gc.items()} == expected
+                assert gc == statement_table_expected(n, d, b)
 
     def test_bott_vanishing_single_degree(self):
+        # S^d(G)(+-1) has cohomology in degree 0 or 1 only, also at n = 2
         for n, d, b in product(range(2, 6), range(11), (-1, 1)):
-            assert len(bott.sdg_cohomology_on_P(n, d, b)) <= 1
+            gc = bott.sdg_cohomology_on_P(n, d, b)
+            assert gc is None or gc[0] in (0, 1)
 
     def test_named_examples(self):
-        assert bott.sdg_cohomology_on_P(4, 2, 1) == {}
-        assert bott.graded_dims(bott.sdg_cohomology_on_P(4, 5, -1)) == {1: 35}
+        assert bott.sdg_cohomology_on_P(4, 2, 1) is None
+        assert dims(bott.sdg_cohomology_on_P(4, 5, -1)) == {1: 35}
         gc = bott.sdg_cohomology_on_P(4, 4, 1)
-        assert gc == {1: {dualize((3, 2, 0, 0)): 1}}
+        assert gc == (1, dualize((3, 2, 0, 0)))
 
 
 class TestRestrictionToQ:
@@ -93,22 +99,40 @@ class TestRestrictionToQ:
         # chi(restriction) = chi(S^d(G)(1)) - chi(S^d(G)(-1))
         for n in range(3, 6):
             for d in range(11):
-                outer = bott.graded_dims(bott.sdg_cohomology_on_P(n, d, 1))
-                inner = bott.graded_dims(bott.sdg_cohomology_on_P(n, d, -1))
+                outer = dims(bott.sdg_cohomology_on_P(n, d, 1))
+                inner = dims(bott.sdg_cohomology_on_P(n, d, -1))
                 chi = sum((-1) ** i * v for i, v in outer.items())
                 chi -= sum((-1) ** i * v for i, v in inner.items())
                 got = bott.les_restriction_to_Q(n, d)
                 assert sum((-1) ** i * v for i, v in got.items()) == chi
 
     def test_inconsistent_coker_rejected(self, monkeypatch):
-        # skew the Weyl-dimension side of the cokernel alone: the Bott side
-        # reaches weyl_dim through weights, not through bott's own name
-        def skewed(lam):
-            return weyl_dim(lam) + (lam == pad((3, 2), 4))
+        # skew the dimension formula at one row, with no exact rank to
+        # catch it first: only Bott's two sides are left to disagree
+        formula = reconf.coker_dim_formula
+        monkeypatch.setattr(reconf, "EXACT_RANGE", {})
+        monkeypatch.setattr(reconf, "coker_dim_formula",
+                            lambda n, d: formula(n, d) + ((n, d) == (4, 3)))
+        with pytest.raises(ArithmeticError, match="restriction sequence at "
+                           "n=4, d=4 gives H.1 = 40 from Bott, not the "
+                           "formula's 41"):
+            reconf.reconf_table(4, 4)
 
-        monkeypatch.setattr(bott, "weyl_dim", skewed)
-        with pytest.raises(ArithmeticError):
-            bott.les_restriction_to_Q(4, 4)
+    @pytest.mark.parametrize("d,answer,message", [
+        (0, (2, (0, 0, 0, 0)), "in degree 2, not None"),
+        (1, (2, (0, 0, 0, 0)), "in degree 2, not 1"),
+        (3, None, "in degree None, not 1"),
+    ])
+    def test_answer_in_unexpected_degree_rejected(self, monkeypatch, d,
+                                                  answer, message):
+        # a wrong or missing S^d(G)(-1) answer is an integrity failure,
+        # never a KeyError
+        sdg = bott.sdg_cohomology_on_P
+        monkeypatch.setattr(
+            bott, "sdg_cohomology_on_P",
+            lambda n, e, b: answer if b == -1 else sdg(n, e, b))
+        with pytest.raises(ArithmeticError, match=message):
+            bott.les_restriction_to_Q(4, d)
 
 
 def test_graded_json_shape():

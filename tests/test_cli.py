@@ -215,6 +215,34 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "integrity failure [cech]" in proc.stderr
 
+    # four wrong flag weights for S^d(G)(b): the two slots swapped, +b for
+    # -b, d off by one, and an answer lost only at d >= 3, b = -1
+    SDG_MUTATIONS = {
+        "swapped": "(0,) * (n - 2) + (-b, -d)",
+        "plus-b": "(0,) * (n - 2) + (-d, b)",
+        "d-plus-1": "(0,) * (n - 2) + (-d - 1, -b)",
+        "lost-h1": "(0,) * (n - 2) + ((-d, 1 - d) if d >= 3 and b == -1 "
+                   "else (-d, -b))",
+    }
+
+    @pytest.mark.parametrize("argv,message", [
+        (["selftest"], "integrity failure [selftest]: twisted sheaf table: "),
+        (["reconf", "--n", "4", "--dmax", "4"], "integrity failure [reconf]: "),
+    ], ids=["selftest", "reconf"])
+    @pytest.mark.parametrize("mutation", SDG_MUTATIONS)
+    def test_wrong_sheaf_weight_is_2_under_optimize(self, argv, message,
+                                                    mutation):
+        script = ("import sys\n"
+                  "from liouville import bott, cli\n"
+                  "bott.sdg_weight = lambda n, d, b: "
+                  f"{self.SDG_MUTATIONS[mutation]}\n"
+                  f"sys.exit(cli.run({argv!r}))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=src_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+
     def test_reader_closing_early_is_1_without_traceback(self):
         # about 200 kB of JSON, more than a pipe holds, so the write is
         # still going when the reader goes away
@@ -303,7 +331,7 @@ class TestBudgets:
         (["reconf", "--n", "3", "--dmax", "200000"], {}),
         (["continuity", "--n-range", "2", "--dmax", "399"], {}),
         (["bott", "--weight=" + ",".join(["0"] * 500)], None),
-        (["sheaf", "--n", "10000", "--d", "1", "--b", "1"], {}),
+        (["sheaf", "--n", "10000", "--d", "1", "--b", "1"], None),
     ], ids=["cech", "cech-box-0", "ydq", "killing", "killing-n10-d4",
             "reconf", "continuity", "bott", "sheaf"])
     def test_admits_larger_sizes(self, capsys, heavy, argv, result):

@@ -120,13 +120,3 @@ class TestPieri:
                                     for mu in horizontal_strips(lam_p, k))
                         assert total == weyl_dim(lam_p) * weyl_dim(pad((k,), n))
 
-
-def test_isotypic_serialization():
-    terms = {(4, 0, 0): 1, (3, 1, 0): 1, (2, 2, 0): 1}  # S^2 x S^2 of C^3
-    recs = weights.isotypic_to_json(terms)
-    assert recs == [
-        {"weight": [4, 0, 0], "multiplicity": 1},
-        {"weight": [3, 1, 0], "multiplicity": 1},
-        {"weight": [2, 2, 0], "multiplicity": 1},
-    ]
-    assert weights.isotypic_dim(terms) == 6 * 6
