@@ -188,15 +188,23 @@ def _selftest_weyl():
 
 
 def _selftest_bott():
+    # the Euler characteristic, Weyl's prod_{i<j} (w_i - w_j + j - i)/(j - i)
+    # on the unsorted weight, is 0 exactly when Bott vanishes, else
+    # (-1)^degree times it on Bott's weight: compared as numerators
     import random
+    from itertools import combinations
+    from math import prod
+    weyl = lambda w: prod(x - y for x, y in combinations(
+        [x - i for i, x in enumerate(w)], 2))
     rng = random.Random(7)
     for _ in range(500):
         n = rng.randint(2, 5)
         a = tuple(rng.randint(-6, 6) for _ in range(n))
-        res = bott.bott_cohomology(a)
-        v = [x + r for x, r in zip(a, bott.rho(n))]
-        if (res is None) != (len(set(v)) < n):
-            raise ArithmeticError(f"Bott vanishing wrong for weight {a}")
+        res, num = bott.bott_cohomology(a), weyl(a)
+        if (res is None) != (num == 0) or res and (
+                num != (-1) ** res[0] * weyl(res[1])):
+            raise ArithmeticError(f"Bott gives {res} for weight {a}, whose "
+                                  f"Weyl numerator is {num}")
 
 
 def _selftest_sheaf_table():

@@ -6,15 +6,16 @@ bidegree (d - 1, 2) in young_map's (x, y) ring, built with young_map's
 polarization L. It is built on ints as den n CK, den the lcm of the
 denominators of q: its sparse columns are all ints, one multiple of CK,
 and its kernel per degree is their exact nullspace. The degree-(0,1,2)
-kernel carries the usual conformal algebra, which is matched
-generator-by-generator against antisymmetric endomorphisms of C^{n+2}
-with a split extension of q. Both sides touch only nonzero terms: the
-bracket is accumulated into one dict and returned as its terms
-{(component, exponents): coeff}, each so(n+2) image is built as its
-nonzero entries {(i, j): x} and commutators are taken on those. Values
-are ints wherever they are integral, from the bracket through linalg's
-solve to the structure constants; the Jacobi check scales rational
-constants to ints once.
+kernel carries the usual conformal algebra: one exact solve certifies
+that the graph {(x, phi x)} of phi, the map of the named basis to its
+images in so(n+2) (q split-extended to C^{n+2}), is closed under the
+bracket, and one rank that phi is onto. Both sides touch only nonzero terms:
+the bracket is accumulated into one dict and returned as its terms
+{(component, exponents): coeff}, each image is built as its nonzero
+entries {(i, j): x} and commutators are taken on those. Values are ints
+wherever they are integral, from the bracket through linalg's solve to
+the structure constants; the Jacobi check scales rational constants to
+ints once.
 """
 
 from fractions import Fraction
@@ -193,40 +194,34 @@ def _terms(field):
 
 
 def structure_constants(named_basis):
-    """Exact structure constants of the conformal basis under the bracket.
-
-    Returns a dict {(a, b): {c: coeff}} over basis indices a < b.
-    """
+    """Exact structure constants {(a, b): {c: coeff}}, over basis indices
+    a < b, of the conformal basis under the bracket."""
     fields = [f for _, f in named_basis]
-    targets = {(a, b): bracket(fields[a], fields[b])
-               for a, b in combinations(range(len(fields)), 2)}
-    return _solve([_terms(f) for f in fields], targets,
+    return _solve([_terms(f) for f in fields],
+                  lambda a, b: bracket(fields[a], fields[b]),
                   [name for name, _ in named_basis])
 
 
-def _solve(basis, targets, names):
-    """Coordinates of every target vector over the basis vectors, exactly.
-
-    Vectors are sparse dicts; `targets` maps a pair (a, b) to one. One
-    reduced echelon form of the columns [basis | all targets], with each
-    key that occurs numbered as a row, solves them all; a target outside
-    the span raises ArithmeticError naming its pair.
-    """
-    keys = list(targets)
+def _solve(basis, product, names):
+    """Coordinates of product(a, b) over the sparse basis vectors for every
+    pair a < b, exactly: one reduced echelon form of [basis | products],
+    each key that occurs numbered as a row, solves them all; a product
+    outside the span raises ArithmeticError naming its pair."""
+    pairs = list(combinations(range(len(basis)), 2))
     index = {}
     cols = [{index.setdefault(r, len(index)): x for r, x in v.items()}
-            for v in basis + [targets[k] for k in keys]]
+            for v in basis + [product(a, b) for a, b in pairs]]
     red, pivots = linalg.rref(cols)
     nb = len(basis)
-    out = {k: {} for k in keys}
+    out = {k: {} for k in pairs}
     for row, pc in zip(red, pivots):
         if pc >= nb:
-            a, b = keys[pc - nb]
+            a, b = pairs[pc - nb]
             raise ArithmeticError(
                 f"[{names[a]}, {names[b]}] left the span of the basis")
         for j, x in row.items():
             if j >= nb:
-                out[keys[j - nb]][pc] = x
+                out[pairs[j - nb]][pc] = x
     return out
 
 
@@ -267,9 +262,8 @@ def so_structure_constants(n):
     """Structure constants of the so(n+2) images of the conformal basis."""
     named = conformal_to_so_matrices(n)
     mats = [m for _, m in named]
-    targets = {(a, b): _comm(mats[a], mats[b])
-               for a, b in combinations(range(len(mats)), 2)}
-    return _solve(mats, targets, [name for name, _ in named])
+    return _solve(mats, lambda a, b: _comm(mats[a], mats[b]),
+                  [name for name, _ in named])
 
 
 def check_jacobi(constants, dim):
@@ -296,39 +290,40 @@ def check_jacobi(constants, dim):
 
 
 def so_np2_isomorphism(n):
-    """Compare conformal and so(n+2) structure constants exactly.
+    """Certify that the named conformal basis spans a copy of so(n+2).
 
-    Returns a report dict; raises ArithmeticError on any mismatch, naming
-    the offending basis pair.
+    phi is a Lie algebra homomorphism exactly when its graph {(x, phi x)}
+    is closed under the bracket: one solve over the graph vectors (field
+    terms and image entries, whose keys never collide) fails on each pair
+    with phi([a, b]) != [phi a, phi b] or a bracket outside the span, and
+    gives the structure constants. Images of rank dim so(n+2), simple for
+    n >= 3, and nonzero fields make the graph isomorphic to both sides.
+    Raises ArithmeticError naming the offending generator or pair.
     """
     if n < 3:
         raise ValueError("the identification is stated for n >= 3")
     basis = named_conformal_basis(n)
+    names, fields = zip(*basis)
     q = QuadraticForm.standard(n)
     for name, f in basis:
-        if not ck_operator(f, q).is_zero():
-            raise ArithmeticError(f"{name} is not conformal Killing")
-    conf_c = structure_constants(basis)
-    so_c = so_structure_constants(n)
-    names = [name for name, _ in basis]
-    for key in conf_c:
-        if conf_c[key] != so_c[key]:
-            a, b = key
-            raise ArithmeticError(
-                f"structure constants differ on [{names[a]}, {names[b]}]: "
-                f"{conf_c[key]} vs {so_c[key]}"
-            )
-    dim = len(basis)
-    ok, triple = check_jacobi(conf_c, dim)
+        if not _terms(f) or not ck_operator(f, q).is_zero():
+            raise ArithmeticError(f"{name} is not conformal Killing, or is 0")
+    images = [m for _, m in conformal_to_so_matrices(n)]
+    dim, rank = (n + 2) * (n + 1) // 2, linalg.rank_sparse(images)
+    if not len(basis) == rank == dim:
+        raise ArithmeticError(f"the so({n + 2}) images of {len(basis)} "
+                              f"generators have rank {rank}, not {dim}")
+    constants = _solve(
+        [{**_terms(f), **m} for f, m in zip(fields, images, strict=True)],
+        lambda a, b: {**bracket(fields[a], fields[b]),
+                      **_comm(images[a], images[b])}, names)
+    ok, triple = check_jacobi(constants, dim)
     if not ok:
         raise ArithmeticError(f"Jacobi identity fails on triple {triple}")
-    expected = (n + 2) * (n + 1) // 2
-    if dim != expected:
-        raise ArithmeticError(f"basis has {dim} elements, not {expected}")
     return {
         "n": n,
         "dimension": dim,
-        "generators": names,
+        "generators": list(names),
         "jacobi": "exact",
         "structure_constants_match": True,
     }

@@ -145,19 +145,16 @@ class QuadraticForm:
             raise ValueError("quadratic form is degenerate")
         self.n = n
         self.matrix = mat
-        self._inverse = None
 
     @classmethod
     def standard(cls, n):
         """Sum of squares: the identity Gram matrix."""
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @property
+    @cached_property
     def inverse(self):
         """A^{-1}, computed on first use: most forms never need it."""
-        if self._inverse is None:
-            self._inverse = _invert(self.matrix)
-        return self._inverse
+        return _invert(self.matrix)
 
     @cached_property
     def integer_entries(self):

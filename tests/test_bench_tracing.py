@@ -63,7 +63,7 @@ def test_killing_kernel_traces_one_nullspace():
 def test_every_rref_caller_passes_int_keyed_columns():
     # the traced rref stat indexes rows[0] and reads every key as a
     # number, so a caller that passes a generator or keeps the term keys
-    # of its vectors fails here; _solve runs twice, _invert once
+    # of its vectors fails here; _solve runs once, _invert once
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
     from liouville import killing
@@ -72,12 +72,12 @@ def test_every_rref_caller_passes_int_keyed_columns():
     with tracer.installed():
         killing.so_np2_isomorphism(3)
         QuadraticForm([[2, 1], [1, 3]]).inverse
-    assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 3
+    assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 2
 
 
 def test_so_identification_traces_one_bracket_per_pair():
     # the traced so-structure pass reads the bracket's cost off
-    # killing.bracket, so structure_constants must call it by its module
+    # killing.bracket, so so_np2_isomorphism must call it by its module
     # name once per basis pair: the 45 pairs of so(5)'s 10 generators
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
@@ -86,3 +86,19 @@ def test_so_identification_traces_one_bracket_per_pair():
     with tracer.installed():
         killing.so_np2_isomorphism(3)
     assert tracing.layer_metrics(tracer.spans)["killing.bracket.calls"] == 45
+
+
+def test_so_identification_traces_one_solve():
+    # one rank of the so(5) images, then one rref solves all 45 pairs over
+    # the graph of the images; neither structure-constant table is built
+    for module in TRACED:
+        importlib.import_module(f"liouville.{module}")
+    from liouville import killing
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        killing.so_np2_isomorphism(3)
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["linalg.rank_sparse.calls"] == 1
+    assert metrics["linalg.rref.calls"] == 1
+    assert metrics["killing.structure_constants.calls"] == 0
+    assert metrics["killing.so_structure_constants.calls"] == 0

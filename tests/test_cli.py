@@ -243,6 +243,35 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr
 
+    # a Bott that reports one degree too many, and so(n+2) images that are
+    # all zero: the first is caught by the Euler characteristic before the
+    # sheaf table runs, the second only by the rank of the images
+    SELFTEST_MUTATIONS = {
+        "bott-degree-plus-1": (
+            "real = bott.bott_cohomology\n"
+            "bott.bott_cohomology = lambda a: (lambda r: r and "
+            "(r[0] + 1, r[1]))(real(a))\n",
+            "integrity failure [selftest]: bott vanishing: "),
+        "zero-so-images": (
+            "real = killing.conformal_to_so_matrices\n"
+            "killing.conformal_to_so_matrices = lambda n: "
+            "[(g, {}) for g, _ in real(n)]\n",
+            "integrity failure [selftest]: so(n+2) isomorphism: "),
+    }
+
+    @pytest.mark.parametrize("mutation", SELFTEST_MUTATIONS)
+    def test_wrong_selftest_layer_is_2_under_optimize(self, mutation):
+        patch, message = self.SELFTEST_MUTATIONS[mutation]
+        script = ("import sys\n"
+                  "from liouville import bott, cli, killing\n"
+                  f"{patch}"
+                  "sys.exit(cli.run(['selftest']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=src_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+
     def test_reader_closing_early_is_1_without_traceback(self):
         # about 200 kB of JSON, more than a pipe holds, so the write is
         # still going when the reader goes away

@@ -138,15 +138,19 @@ class TestBracket:
 
     def test_solve_names_the_pair_that_left_the_span(self):
         with pytest.raises(ArithmeticError,
-                           match=r"\[P1, P1\] left the span of the basis"):
-            killing._solve([{0: 1}], {(0, 0): {1: 1}}, ["P1"])
+                           match=r"\[P1, P2\] left the span of the basis"):
+            killing._solve([{0: 1}, {1: 1}], lambda a, b: {2: 1},
+                           ["P1", "P2"])
 
     def test_solve_reads_coordinates_off_any_keys(self):
-        # keys need not be ints: 4 b = -2 (a) + 2 (a + 2 b), and 0 has none
-        basis = [{"a": 1}, {"a": 1, "b": 2}]
-        out = killing._solve(basis, {(0, 1): {"b": 4}, (1, 0): {}},
-                             ["A", "B"])
-        assert out == {(0, 1): {0: -2, 1: 2}, (1, 0): {}}
+        # keys need not be ints: 4 b = -2 (a) + 2 (a + 2 b), 0 has none,
+        # and the product's keys may come in any order
+        basis = [{"a": 1}, {"a": 1, "b": 2}, {"c": 1}]
+        products = {(0, 1): {"b": 4}, (0, 2): {}, (1, 2): {"c": -1, "a": 3}}
+        out = killing._solve(basis, lambda a, b: products[a, b],
+                             ["A", "B", "C"])
+        assert out == {(0, 1): {0: -2, 1: 2}, (0, 2): {},
+                       (1, 2): {0: 3, 2: -1}}
 
     def test_antisymmetry(self):
         n = 3
@@ -182,8 +186,9 @@ class TestSoNp2:
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_structure_constants_are_ints(self, n):
-        # linalg hands integral entries back as ints, so both tables are
-        # all ints and agree value types included
+        # the two tables solved one side at a time, the oracle of the
+        # graph solve: linalg hands integral entries back as ints, so both
+        # are all ints and agree value types included
         typed = lambda table: {k: {c: (type(x), x) for c, x in v.items()}
                                for k, v in table.items()}
         conf = killing.structure_constants(killing.named_conformal_basis(n))
@@ -194,20 +199,73 @@ class TestSoNp2:
         with pytest.raises(ValueError):
             killing.so_np2_isomorphism(2)
 
-    def test_changed_structure_constant_is_caught(self, monkeypatch):
-        names = [name for name, _ in killing.named_conformal_basis(3)]
-        pk, d = (names.index("P1"), names.index("K1")), names.index("D")
-        real = killing.so_structure_constants
+    @staticmethod
+    def change_p1_k1(monkeypatch, change):
+        """Route the field bracket [P1, K1] at n = 3 through change."""
+        named = dict(killing.named_conformal_basis(3))
+        pair = killing._terms(named["P1"]), killing._terms(named["K1"])
+        real = killing.bracket
 
-        def changed(n):
-            out = real(n)
-            out[pk] = dict(out[pk])
-            out[pk][d] += 1  # [P1, K1] = 2 D + ..., now 3 D + ...
+        def patched(xi, eta):
+            out = real(xi, eta)
+            hit = (killing._terms(xi), killing._terms(eta)) == pair
+            return change(out, named) if hit else out
+
+        monkeypatch.setattr(killing, "bracket", patched)
+
+    def test_changed_structure_constant_is_caught(self, monkeypatch):
+        # [P1, K1] = 2 D + ... on the field side, now 3 D + ...: the graph
+        # vector of that pair leaves the span, though the images are right
+        def plus_d(out, named):
+            for k, v in killing._terms(named["D"]).items():
+                out[k] = out.get(k, 0) + v
             return out
 
-        monkeypatch.setattr(killing, "so_structure_constants", changed)
+        self.change_p1_k1(monkeypatch, plus_d)
         with pytest.raises(ArithmeticError,
-                           match=r"structure constants differ on \[P1, K1\]"):
+                           match=r"\[P1, K1\] left the span of the basis"):
+            killing.so_np2_isomorphism(3)
+
+    # wrong so(n+2) images and the message each one raises: the zero map
+    # closes the graph (it is the field side alone), so only the rank of
+    # the images catches it
+    IMAGE_MUTATIONS = {
+        "zero": (lambda named: [(g, {}) for g, _ in named],
+                 r"so\(5\) images of 10 generators have rank 0, not 10"),
+        "doubled": (lambda named: [(g, {k: 2 * x for k, x in m.items()})
+                                   for g, m in named],
+                    r"\[P1, R12\] left the span of the basis"),
+        "swapped-P1-P2": (lambda named: [(named[0][0], named[1][1]),
+                                         (named[1][0], named[0][1])]
+                          + named[2:],
+                          r"\[P1, R12\] left the span of the basis"),
+    }
+
+    @pytest.mark.parametrize("mutation", IMAGE_MUTATIONS)
+    def test_wrong_images_are_caught(self, monkeypatch, mutation):
+        wrong, message = self.IMAGE_MUTATIONS[mutation]
+        real = killing.conformal_to_so_matrices
+        monkeypatch.setattr(killing, "conformal_to_so_matrices",
+                            lambda n: wrong(real(n)))
+        with pytest.raises(ArithmeticError, match=message):
+            killing.so_np2_isomorphism(3)
+
+    def test_one_doubled_bracket_is_caught(self, monkeypatch):
+        self.change_p1_k1(monkeypatch, lambda out, named: {
+            k: 2 * v for k, v in out.items()})
+        with pytest.raises(ArithmeticError,
+                           match=r"\[P1, K1\] left the span of the basis"):
+            killing.so_np2_isomorphism(3)
+
+    def test_zero_fields_are_caught(self, monkeypatch):
+        # zero fields with the right images close the graph and pass the
+        # rank check, so each field must be nonzero
+        real = killing.named_conformal_basis
+        monkeypatch.setattr(killing, "named_conformal_basis", lambda n: [
+            (g, PolyVectorField([Poly(n, f.degree) for _ in range(n)]))
+            for g, f in real(n)])
+        with pytest.raises(ArithmeticError,
+                           match="P1 is not conformal Killing, or is 0"):
             killing.so_np2_isomorphism(3)
 
     def test_jacobi_catches_a_perturbed_constant(self):
