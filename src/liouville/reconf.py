@@ -1,6 +1,7 @@
 """Graded cohomology table of the derived conformal algebra of flat space.
 
-Rows combine the quadric long-exact-sequence bookkeeping with exact rank
+Rows combine the quadric long-exact-sequence bookkeeping, on Bott answers
+checked against the eight-case table `bott.sdg_table`, with exact rank
 recomputation of the cokernels; a disagreement of the dimension formula
 with an exact rank or with Bott's number is a hard failure. Default row
 indexing puts Coker(y_{d,q}) at degree d ("source" indexing); "bundle"

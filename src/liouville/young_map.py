@@ -208,6 +208,9 @@ def kernel_cokernel_dims(n, d, q=None):
 # and both ranks are taken with linalg.rank_sparse.
 # ---------------------------------------------------------------------------
 
+ORACLE_WORDS = 243  # most tensor words n^k the oracle enumerates
+
+
 def _tableau_slots(lam):
     """Tensor slots of each row and of each column of lam, row by row."""
     rows, start = [], 0
@@ -262,11 +265,11 @@ def young_symmetrizer_columns(lam, n):
     Returns {word: column}, one sparse column per tensor basis word. A
     column is keyed by row orbit, the sorted letters of each tableau row,
     and holds |Stab_R| times the signed count of b_lam's images of the
-    word in that orbit. Guarded to n^k <= 243.
+    word in that orbit. Guarded to n^k <= ORACLE_WORDS.
     """
     lam = tuple(x for x in lam if x)
     k = sum(lam)
-    if n ** k > 243:
+    if n ** k > ORACLE_WORDS:
         raise ValueError("tensor space too large for the oracle")
     rows, cols = _tableau_slots(lam)
     signed = [(p, _perm_sign(p)) for p in _block_perms(cols, k)]

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -61,12 +62,18 @@ def dims(gc):
 
 
 class TestSheafCohomologyOnP:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    # n = 2 too: `sheaf --n 2` checks its answers against bott.sdg_table
+    @pytest.mark.parametrize("n", range(2, 12))
     def test_full_table(self, n):
-        for d in range(11):
+        for d in range(40):
             for b in (-1, 1):
                 gc = bott.sdg_cohomology_on_P(n, d, b)
                 assert gc == statement_table_expected(n, d, b)
+
+    def test_table_covers_only_twists_plus_minus_one(self):
+        with pytest.raises(ValueError, match="b = [+]-1"):
+            bott.sdg_table(4, 2, 0)
+        assert bott.sdg_cohomology_on_P(4, 2, 0) == (1, (0, 0, -1, -1))
 
     def test_bott_vanishing_single_degree(self):
         # S^d(G)(+-1) has cohomology in degree 0 or 1 only, also at n = 2
@@ -119,19 +126,19 @@ class TestRestrictionToQ:
             reconf.reconf_table(4, 4)
 
     @pytest.mark.parametrize("d,answer,message", [
-        (0, (2, (0, 0, 0, 0)), "in degree 2, not None"),
-        (1, (2, (0, 0, 0, 0)), "in degree 2, not 1"),
-        (3, None, "in degree None, not 1"),
-    ])
+        (0, (2, (0, 0, 0, 0)), "(2, (0, 0, 0, 0)), not None"),
+        (1, (2, (0, 0, 0, 0)), "(2, (0, 0, 0, 0)), not (1, (0, 0, 0, 0))"),
+        (3, None, "None, not (1, (0, 0, 0, -2))"),
+    ], ids=["d0-in-degree-2", "d1-in-degree-2", "d3-lost"])
     def test_answer_in_unexpected_degree_rejected(self, monkeypatch, d,
                                                   answer, message):
-        # a wrong or missing S^d(G)(-1) answer is an integrity failure,
-        # never a KeyError
-        sdg = bott.sdg_cohomology_on_P
-        monkeypatch.setattr(
-            bott, "sdg_cohomology_on_P",
-            lambda n, e, b: answer if b == -1 else sdg(n, e, b))
-        with pytest.raises(ArithmeticError, match=message):
+        # a wrong or missing S^d(G)(-1) answer from Bott is an integrity
+        # failure where it is computed, never a KeyError
+        real = bott.bott_cohomology
+        monkeypatch.setattr(bott, "bott_cohomology",
+                            lambda a: answer if a[-1] == 1 else real(a))
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"S^{d}(G)(-1) on P(C^4) has cohomology {message}")):
             bott.les_restriction_to_Q(4, d)
 
 

@@ -146,6 +146,13 @@ class TestExitCodes:
         assert code == 1
         assert "reconf" in err
 
+    def test_oracle_below_degree_2_is_1(self, capsys):
+        # the oracle's word count 0 ** (d + 2) at d = -3 would divide by
+        # zero, an ArithmeticError, before the degree is refused
+        code, _, err = run(capsys, "ydq", "--n", "0", "--d", "-3", "--oracle")
+        assert code == 1
+        assert "need d >= 2" in err
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
@@ -215,27 +222,36 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "integrity failure [cech]" in proc.stderr
 
-    # four wrong flag weights for S^d(G)(b): the two slots swapped, +b for
-    # -b, d off by one, and an answer lost only at d >= 3, b = -1
+    # five wrong flag weights for S^d(G)(b), each with the (d, b) of a
+    # sheaf at n = 4 that it moves: the two slots swapped, +b for -b, d off
+    # by one, an answer lost only at d >= 3, b = -1, and the first slot
+    # one higher at d = b = 1, which keeps Bott's degree but not its weight
     SDG_MUTATIONS = {
-        "swapped": "(0,) * (n - 2) + (-b, -d)",
-        "plus-b": "(0,) * (n - 2) + (-d, b)",
-        "d-plus-1": "(0,) * (n - 2) + (-d - 1, -b)",
-        "lost-h1": "(0,) * (n - 2) + ((-d, 1 - d) if d >= 3 and b == -1 "
-                   "else (-d, -b))",
+        "swapped": ("(0,) * (n - 2) + (-b, -d)", (2, 1)),
+        "plus-b": ("(0,) * (n - 2) + (-d, b)", (0, -1)),
+        "d-plus-1": ("(0,) * (n - 2) + (-d - 1, -b)", (2, 1)),
+        "lost-h1": ("(0,) * (n - 2) + ((-d, 1 - d) if d >= 3 and b == -1 "
+                    "else (-d, -b))", (3, -1)),
+        "weight-plus-1": ("(int((d, b) == (1, 1)),) + (0,) * (n - 3) "
+                          "+ (-d, -b)", (1, 1)),
     }
 
-    @pytest.mark.parametrize("argv,message", [
-        (["selftest"], "integrity failure [selftest]: twisted sheaf table: "),
-        (["reconf", "--n", "4", "--dmax", "4"], "integrity failure [reconf]: "),
-    ], ids=["selftest", "reconf"])
+    @pytest.mark.parametrize("command,message", [
+        ("selftest", "integrity failure [selftest]: twisted sheaf table: "),
+        ("reconf", "integrity failure [reconf]: "),
+        ("sheaf", "integrity failure [sheaf]: "),
+    ], ids=["selftest", "reconf", "sheaf"])
     @pytest.mark.parametrize("mutation", SDG_MUTATIONS)
-    def test_wrong_sheaf_weight_is_2_under_optimize(self, argv, message,
+    def test_wrong_sheaf_weight_is_2_under_optimize(self, command, message,
                                                     mutation):
+        weight, (d, b) = self.SDG_MUTATIONS[mutation]
+        argv = {"selftest": ["selftest"],
+                "reconf": ["reconf", "--n", "4", "--dmax", "4"],
+                "sheaf": ["sheaf", "--n", "4", "--d", str(d), "--b", str(b)],
+                }[command]
         script = ("import sys\n"
                   "from liouville import bott, cli\n"
-                  "bott.sdg_weight = lambda n, d, b: "
-                  f"{self.SDG_MUTATIONS[mutation]}\n"
+                  f"bott.sdg_weight = lambda n, d, b: {weight}\n"
                   f"sys.exit(cli.run({argv!r}))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=src_env(), capture_output=True, text=True,
@@ -317,7 +333,8 @@ class TestBudgets:
         (["cech", "--n", "13", "--box", "0"], "CECH_BUDGET"),
         (["ydq", "--n", "12", "--d", "9"], "YDQ_BUDGET"),
         (["killing", "--n", "15", "--d", "6"], "KILLING_BUDGET"),
-        # 9,963 columns, each costlier as d grows: this took 32 s
+        # 9,963 columns, weighted by d + 1: refused, though ck_kernel(3, 80)
+        # now takes 0.09 s (in process, 2-vCPU VM, CPython 3.11.7)
         (["killing", "--n", "3", "--d", "80"], "KILLING_BUDGET"),
         # 240 columns, but the budget counts 29,161 named generators
         (["killing", "--n", "240", "--d", "0"], "KILLING_BUDGET"),
