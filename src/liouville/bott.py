@@ -99,8 +99,6 @@ def les_restriction_to_Q(n, d):
     """
     if n < 3:
         raise ValueError("the quadric bookkeeping needs n >= 3")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
     inner, outer = (0 if gc is None else weyl_dim(gc[1]) for gc in
                     (sdg_cohomology_on_P(n, d, b) for b in (-1, 1)))
     if d < 3:

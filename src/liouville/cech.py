@@ -52,8 +52,7 @@ def cech_slice(n, m):
                 if k in I:
                     continue
                 J = tuple(sorted(I + (k,)))
-                if J in dst:
-                    col[dst[J]] = (-1) ** J.index(k)
+                col[dst[J]] = (-1) ** J.index(k)
             cols.append(col)
         ranks.append(linalg.rank_sparse(cols))
     cohom = []

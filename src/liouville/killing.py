@@ -305,8 +305,9 @@ def so_np2_isomorphism(n):
     basis = named_conformal_basis(n)
     names, fields = zip(*basis)
     q = QuadraticForm.standard(n)
-    for name, f in basis:
-        if not _terms(f) or not ck_operator(f, q).is_zero():
+    terms = [_terms(f) for f in fields]
+    for name, f, t in zip(names, fields, terms):
+        if not t or not ck_operator(f, q).is_zero():
             raise ArithmeticError(f"{name} is not conformal Killing, or is 0")
     images = [m for _, m in conformal_to_so_matrices(n)]
     dim, rank = (n + 2) * (n + 1) // 2, linalg.rank_sparse(images)
@@ -314,7 +315,7 @@ def so_np2_isomorphism(n):
         raise ArithmeticError(f"the so({n + 2}) images of {len(basis)} "
                               f"generators have rank {rank}, not {dim}")
     constants = _solve(
-        [{**_terms(f), **m} for f, m in zip(fields, images, strict=True)],
+        [{**t, **m} for t, m in zip(terms, images, strict=True)],
         lambda a, b: {**bracket(fields[a], fields[b]),
                       **_comm(images[a], images[b])}, names)
     ok, triple = check_jacobi(constants, dim)

@@ -18,16 +18,16 @@ from .linalg import _exact
 
 
 def monomials(n, d):
-    """Canonical (grlex-sorted) list of exponent tuples of total degree d."""
-    if d == 0:
-        return [(0,) * n]
+    """Canonical (grlex-sorted) list of exponent tuples of total degree d:
+    combinations_with_replacement emits index multisets in lexicographic
+    order, which is descending lexicographic order of their exponents."""
     out = []
     for combo in combinations_with_replacement(range(n), d):
         e = [0] * n
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return sorted(out, reverse=True)
+    return out
 
 
 class Poly:
@@ -221,8 +221,6 @@ def laplacian_columns(n, d, q):
 def harmonic_dim(n, d, q=None):
     """Exact dimension of ker(Delta_q) on S^d."""
     q = q if q is not None else QuadraticForm.standard(n)
-    if d < 2:
-        return len(monomials(n, d))
     cols, src = laplacian_columns(n, d, q)
     return len(src) - linalg.rank_sparse(cols)
 

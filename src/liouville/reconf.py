@@ -22,8 +22,8 @@ EXACT_RANGE = {3: 36, 4: 12, 5: 7, 6: 5, 7: 4, 8: 3, 9: 3,
 def h1_entry(n, d):
     """Cokernel dimension of y_{d,q}, cross-checked against exact rank.
 
-    Ranks are recomputed within EXACT_RANGE; beyond it the dimension
-    formula meets only the Bott check of `reconf_table`.
+    Inside EXACT_RANGE the exact rank is the row's only independent
+    check; beyond it the row is the dimension formula alone.
     """
     formula = coker_dim_formula(n, d)
     if d <= EXACT_RANGE.get(n, 0):
@@ -43,10 +43,11 @@ def reconf_table(n, dmax, indexing="source"):
     H^0 sits in degrees 0..2 (the conformal algebra, graded by field
     degree); H^1 entries are Coker(y_{d,q}) at degree d ("source"
     indexing) or d+1 (bundle indexing). H^i = 0 for i >= 2, as the
-    header of `table_to_pretty` says. Each H^1 row gets two checks: the
-    exact rank of y_{d,q} inside EXACT_RANGE (`h1_entry`), and the
-    dimension formula against Bott's two sides of the restriction
-    sequence in bundle degree d+1.
+    header of `table_to_pretty` says. Inside EXACT_RANGE each H^1 row's
+    one independent check is the exact rank of y_{d,q} (`h1_entry`). Its
+    Bott comparison (bundle degree d+1) reads answers pinned to
+    `bott.sdg_table`, so it can fail only if `weyl_dim` breaks duality
+    or `coker_dim_formula` is edited.
     """
     if n < 3 or dmax < 3:
         raise ValueError("need n >= 3 and dmax >= 3")

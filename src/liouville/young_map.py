@@ -167,11 +167,11 @@ def y_dq(f, q):
 
 def y_dq_columns(n, d, q=None):
     """Sparse int columns of y_dq : S^d -> bidegree-(d,2) space, each
-    y_dq(K x^e, q) for one K = den (4d+4)(2d), den the lcm of the
-    denominators of q's matrix: every coefficient is then already an
-    int, and rank and kernel are those of y_dq."""
+    y_dq(K x^e, q) for K = den d(d+1), den the lcm of the denominators of
+    q's matrix: K is y_dq's divisor, so every column is its integer sums,
+    and rank and kernel are those of y_dq."""
     q = q if q is not None else QuadraticForm.standard(n)
-    K = q.integer_entries[0] * 8 * d * (d + 1)
+    K = q.integer_entries[0] * d * (d + 1)
     src = monomials(n, d)
     index = {k: i for i, k in enumerate(bipoly_basis(n, d, 2))}
     cols = [{index[k]: c
@@ -303,6 +303,8 @@ def young_symmetrizer_oracle(lam, n, q=None):
     y_rank = None
     if len(lam) == 2 and lam[1] == 2 and lam[0] >= 2:
         q = q if q is not None else QuadraticForm.standard(n)
+        if q.n != n:
+            raise ValueError("variable-count mismatch")
         qt = [((i, j), x) for i, row in enumerate(q.matrix)
               for j, x in enumerate(row) if x]
         y_cols = []

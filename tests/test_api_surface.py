@@ -5,10 +5,13 @@ public method of such a class, must be used somewhere in src/, demos/ or
 bench/. A use is a name, an attribute or an import of it, or a string
 literal that is exactly the name (as in a table of names to trace); a
 word in a comment, a docstring or a message is not. A name only tests
-call belongs in the test that calls it.
+call belongs in the test that calls it. Every module-level private
+function must be used in src/liouville outside its own body, so a
+deletion cannot leave a helper behind.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,24 +39,26 @@ def docstrings(tree):
             yield node.body[0].value
 
 
+def uses(tree):
+    """Each use of a name in tree, one item per use."""
+    skip = set(map(id, docstrings(tree)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif (isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and id(node) not in skip):
+            yield node.value
+
+
 def used_names():
     """Every name that the Python under CALLERS uses."""
-    used = set()
-    for top in CALLERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            skip = set(map(id, docstrings(tree)))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.add(node.name.rpartition(".")[2])
-                elif (isinstance(node, ast.Constant)
-                      and isinstance(node.value, str) and id(node) not in skip):
-                    used.add(node.value)
-    return used
+    return {name for top in CALLERS
+            for path in sorted((ROOT / top).rglob("*.py"))
+            for name in uses(ast.parse(path.read_text()))}
 
 
 def test_every_public_name_has_a_caller():
@@ -79,3 +84,15 @@ def test_every_public_method_has_a_caller():
     unused = [f"{home.stem}.{cls}.{name}"
               for home, cls, name in public_methods() if name not in used]
     assert not unused, f"public methods that no program uses: {unused}"
+
+
+def test_every_private_function_has_a_caller():
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    helpers = [node for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    used = Counter(name for tree in trees for name in uses(tree))
+    orphans = [f.name for f in helpers
+               if used[f.name] == Counter(uses(f))[f.name]]
+    assert helpers
+    assert not orphans, f"private functions nothing in src/ calls: {orphans}"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -58,6 +59,17 @@ def mult_by_q_columns(n, d, q):
         img = q.as_poly() * Poly.monomial(n, e)
         cols.append({dst[k]: c for k, c in img.coeffs.items()})
     return cols, src
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_monomials_are_strictly_descending_lex(n):
+    # grlex within one degree is descending lex: CK's elimination speed
+    # and every bipoly_basis row numbering rest on this order
+    for d in range(9):
+        mons = monomials(n, d)
+        assert len(mons) == comb(n + d - 1, d)
+        assert all(len(e) == n and sum(e) == d for e in mons)
+        assert all(a > b for a, b in zip(mons, mons[1:]))
 
 
 class TestMultByQ:
@@ -134,6 +146,12 @@ class TestHarmonicDim:
         q = QuadraticForm([[2, 1], [1, 3]])
         for d in range(1, 6):
             assert harmonic_dim(2, d, q) == 2
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_form_on_other_variables_rejected(self, d):
+        for n, m in ((3, 2), (2, 3)):
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                harmonic_dim(n, d, QuadraticForm.standard(m))
 
     def test_harmonic_basis_is_annihilated(self):
         q = QuadraticForm.standard(3)

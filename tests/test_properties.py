@@ -175,7 +175,7 @@ def test_int_columns_are_one_multiple_of_y_dq(case):
     cols, src = ym.y_dq_columns(n, d, q)
     index = {k: i for i, k in enumerate(ym.bipoly_basis(n, d, 2))}
     den = lcm(*(x.denominator for row in q.matrix for x in row))
-    K = den * (4 * d + 4) * (2 * d)
+    K = den * d * (d + 1)
     assert src == monomials(n, d)
     for e, col in zip(src, cols):
         assert all(type(v) is int for v in col.values())

@@ -300,6 +300,11 @@ class TestSymmetrizerOracle:
         with pytest.raises(ValueError):
             ym.young_symmetrizer_oracle((4, 2), 3)  # 3^6 = 729 > 243
 
+    @pytest.mark.parametrize("lam,n,m", [((2, 2), 2, 3), ((3, 2), 3, 2)])
+    def test_form_on_other_variables_rejected(self, lam, n, m):
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            ym.young_symmetrizer_oracle(lam, n, QuadraticForm.standard(m))
+
     def test_rank_matches_weyl_dim(self):
         for n in (2, 3):
             for lam in SHAPES:
