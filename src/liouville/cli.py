@@ -133,7 +133,11 @@ def cmd_killing(args):
                    n * max((d + 1) * weights.sym_dim(n, d),
                            (n + 2) * (n + 1) // 2))
     basis = killing.ck_kernel(n, d)
-    payload = {"n": n, "d": d, "dim": len(basis)}
+    dim = 2 if n == 2 else (n, n * (n - 1) // 2 + 1, n, 0)[min(d, 3)]
+    if len(basis) != dim:  # Liouville's theorem, or 2 per degree at n = 2
+        raise ArithmeticError(f"the degree-{d} kernel has dimension "
+                              f"{len(basis)}, not {dim}")
+    payload = {"n": n, "d": d, "dim": dim}
     if d <= 2:
         payload["generators"] = killing.basis_to_json(
             killing.named_generators(n, d))

@@ -6,16 +6,14 @@ bidegree (d - 1, 2) in young_map's (x, y) ring, built with young_map's
 polarization L. It is built on ints as den n CK, den the lcm of the
 denominators of q: its sparse columns are all ints, one multiple of CK,
 and its kernel per degree is their exact nullspace. The degree-(0,1,2)
-kernel carries the usual conformal algebra: one exact solve certifies
-that the graph {(x, phi x)} of phi, the map of the named basis to its
-images in so(n+2) (q split-extended to C^{n+2}), is closed under the
-bracket, and one rank that phi is onto. Both sides touch only nonzero terms:
-the bracket is accumulated into one dict and returned as its terms
-{(component, exponents): coeff}, each image is built as its nonzero
-entries {(i, j): x} and commutators are taken on those. Values are ints
-wherever they are integral, from the bracket through linalg's solve to
-the structure constants; the Jacobi check scales rational constants to
-ints once.
+kernel carries the usual conformal algebra: two exact ranks over the
+graph {(x, phi x)} of phi, the map of the named basis to its images in
+so(n+2) (q split-extended to C^{n+2}), show from the brackets of the P's
+and K's that it is closed, and one rank that phi is onto. Both sides
+touch only nonzero terms: the bracket is accumulated into one dict and
+returned as its terms {(component, exponents): coeff}, each image is
+built as its nonzero entries {(i, j): x} and commutators are taken on
+those. Values are ints wherever they are integral.
 """
 
 from fractions import Fraction
@@ -289,15 +287,22 @@ def check_jacobi(constants, dim):
     return True, None
 
 
+def _generators(names):
+    """Indices of the P's and K's, which generate so(n+2)."""
+    return [a for a, g in enumerate(names) if g[0] in "PK"]
+
+
 def so_np2_isomorphism(n):
     """Certify that the named conformal basis spans a copy of so(n+2).
 
-    phi is a Lie algebra homomorphism exactly when its graph {(x, phi x)}
-    is closed under the bracket: one solve over the graph vectors (field
-    terms and image entries, whose keys never collide) fails on each pair
-    with phi([a, b]) != [phi a, phi b] or a bracket outside the span, and
-    gives the structure constants. Images of rank dim so(n+2), simple for
-    n >= 3, and nonzero fields make the graph isomorphic to both sides.
+    phi is a homomorphism exactly when the span G of the graph vectors
+    (field terms, image entries; their keys never collide) is closed under
+    the bracket of Vect + gl(n+2), where N(G) = {x : [x, G] in G} is a
+    subalgebra by Jacobi. So two ranks decide it: the P's and K's bracket
+    every generator into G (they lie in N(G)) and, with their mutual
+    brackets, span G (G lies in N(G)). Images of rank dim so(n+2), simple
+    for n >= 3, and nonzero fields make G isomorphic to both sides; the
+    report's "jacobi" and "structure_constants_match" rest on this.
     Raises ArithmeticError naming the offending generator or pair.
     """
     if n < 3:
@@ -314,20 +319,21 @@ def so_np2_isomorphism(n):
     if not len(basis) == rank == dim:
         raise ArithmeticError(f"the so({n + 2}) images of {len(basis)} "
                               f"generators have rank {rank}, not {dim}")
-    constants = _solve(
-        [{**t, **m} for t, m in zip(terms, images, strict=True)],
-        lambda a, b: {**bracket(fields[a], fields[b]),
-                      **_comm(images[a], images[b])}, names)
-    ok, triple = check_jacobi(constants, dim)
-    if not ok:
-        raise ArithmeticError(f"Jacobi identity fails on triple {triple}")
-    return {
-        "n": n,
-        "dimension": dim,
-        "generators": list(names),
-        "jacobi": "exact",
-        "structure_constants_match": True,
-    }
+    graph = [{**t, **m} for t, m in zip(terms, images, strict=True)]
+    product = lambda a, b: {**bracket(fields[a], fields[b]),
+                            **_comm(images[a], images[b])}
+    gens, index = _generators(names), {}
+    brackets = {(a, b): product(a, b) for a, b in combinations(range(dim), 2)
+                if a in gens or b in gens}
+    span = lambda vs: linalg.rank_sparse([
+        {index.setdefault(k, len(index)): x for k, x in v.items()} for v in vs])
+    if span(graph + [*brackets.values()]) != dim:
+        _solve(graph, product, names)  # raises, naming a pair outside it
+    if span([graph[s] for s in gens] + [v for (a, b), v in brackets.items()
+                                        if a in gens and b in gens]) != dim:
+        raise ArithmeticError("P and K do not generate the graph")
+    return {"n": n, "dimension": dim, "generators": list(names),
+            "jacobi": "exact", "structure_constants_match": True}
 
 
 def basis_to_json(named_basis):

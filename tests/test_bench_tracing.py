@@ -63,34 +63,39 @@ def test_killing_kernel_traces_one_nullspace():
 def test_every_rref_caller_passes_int_keyed_columns():
     # the traced rref stat indexes rows[0] and reads every key as a
     # number, so a caller that passes a generator or keeps the term keys
-    # of its vectors fails here; _solve runs once, _invert once
+    # of its vectors fails here; _solve runs once, _invert once.
+    # so_np2_isomorphism solves only on a closure failure, so the
+    # structure-constant table of the field side drives _solve here
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
     from liouville import killing
     from liouville.polyspaces import QuadraticForm
     tracer = tracing.Tracer()
     with tracer.installed():
-        killing.so_np2_isomorphism(3)
+        killing.structure_constants(killing.named_conformal_basis(3))
         QuadraticForm([[2, 1], [1, 3]]).inverse
     assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 2
 
 
-def test_so_identification_traces_one_bracket_per_pair():
+def test_so_identification_brackets_only_pairs_with_p_or_k():
     # the traced so-structure pass reads the bracket's cost off
     # killing.bracket, so so_np2_isomorphism must call it by its module
-    # name once per basis pair: the 45 pairs of so(5)'s 10 generators
+    # name once per pair that holds a P or a K: 39 of so(5)'s 45 pairs,
+    # all but the 6 among R12, R13, R23 and D
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
     from liouville import killing
     tracer = tracing.Tracer()
     with tracer.installed():
         killing.so_np2_isomorphism(3)
-    assert tracing.layer_metrics(tracer.spans)["killing.bracket.calls"] == 45
+    assert tracing.layer_metrics(tracer.spans)["killing.bracket.calls"] == 39
 
 
-def test_so_identification_traces_one_solve():
-    # one rank of the so(5) images, then one rref solves all 45 pairs over
-    # the graph of the images; neither structure-constant table is built
+def test_so_identification_traces_three_ranks_and_no_solve():
+    # one rank of the so(5) images, one of the graph with the brackets
+    # (closure), one of the P's and K's with theirs (generation); a
+    # passing certificate solves nothing, builds neither structure-constant
+    # table and runs no Jacobi check
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
     from liouville import killing
@@ -98,7 +103,8 @@ def test_so_identification_traces_one_solve():
     with tracer.installed():
         killing.so_np2_isomorphism(3)
     metrics = tracing.layer_metrics(tracer.spans)
-    assert metrics["linalg.rank_sparse.calls"] == 1
-    assert metrics["linalg.rref.calls"] == 1
+    assert metrics["linalg.rank_sparse.calls"] == 3
+    assert metrics["linalg.rref.calls"] == 0
+    assert metrics["killing.check_jacobi.calls"] == 0
     assert metrics["killing.structure_constants.calls"] == 0
     assert metrics["killing.so_structure_constants.calls"] == 0

@@ -167,6 +167,23 @@ class TestExitCodes:
         assert code == 2
         assert "integrity" in err
 
+    @pytest.mark.parametrize("n,d", [(4, 0), (4, 1), (4, 2), (2, 3)])
+    def test_killing_kernel_short_of_liouville_is_2(self, capsys,
+                                                    monkeypatch, n, d):
+        from liouville import killing
+        real = killing.ck_kernel
+        monkeypatch.setattr(killing, "ck_kernel",
+                            lambda *args: real(*args)[1:])
+        code, out, err = run(capsys, "killing", "--n", str(n), "--d", str(d))
+        assert code == 2 and not out
+        assert f"degree-{d} kernel has dimension" in err
+
+    def test_killing_kernel_matches_liouville(self, capsys):
+        for n in range(2, 6):
+            for d in range(5):
+                assert run(capsys, "killing", "--n", str(n),
+                           "--d", str(d))[0] == 0
+
     def test_failed_selftest_check_is_2(self, capsys, monkeypatch):
         from liouville import young_map
 

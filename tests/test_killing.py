@@ -202,8 +202,13 @@ class TestSoNp2:
     @staticmethod
     def change_p1_k1(monkeypatch, change):
         """Route the field bracket [P1, K1] at n = 3 through change."""
+        TestSoNp2.change_pair(monkeypatch, "P1", "K1", change)
+
+    @staticmethod
+    def change_pair(monkeypatch, a, b, change):
+        """Route the field bracket [a, b] at n = 3 through change."""
         named = dict(killing.named_conformal_basis(3))
-        pair = killing._terms(named["P1"]), killing._terms(named["K1"])
+        pair = killing._terms(named[a]), killing._terms(named[b])
         real = killing.bracket
 
         def patched(xi, eta):
@@ -255,6 +260,25 @@ class TestSoNp2:
             k: 2 * v for k, v in out.items()})
         with pytest.raises(ArithmeticError,
                            match=r"\[P1, K1\] left the span of the basis"):
+            killing.so_np2_isomorphism(3)
+
+    def test_doubled_bracket_of_a_rotation_and_k_is_caught(self, monkeypatch):
+        # [R12, K1] is bracketed only for closure, not for generation
+        self.change_pair(monkeypatch, "R12", "K1", lambda out, named: {
+            k: 2 * v for k, v in out.items()})
+        with pytest.raises(ArithmeticError,
+                           match=r"\[R12, K1\] left the span of the basis"):
+            killing.so_np2_isomorphism(3)
+
+    def test_generators_short_of_so_n_plus_2_are_caught(self, monkeypatch):
+        # the brackets of the P's with every generator stay in the graph,
+        # so closure holds for this set; only generation fails: the P's
+        # with their mutual brackets, all zero, span 3 of the 10 vectors
+        real = killing._generators
+        monkeypatch.setattr(killing, "_generators", lambda names: [
+            a for a in real(names) if names[a][0] == "P"])
+        with pytest.raises(ArithmeticError,
+                           match="P and K do not generate the graph"):
             killing.so_np2_isomorphism(3)
 
     def test_zero_fields_are_caught(self, monkeypatch):

@@ -441,6 +441,36 @@ def test_bracket_matches_poly_arithmetic(case):
     assert bracket(eta, xi) == {k: -v for k, v in ref.items()}
 
 
+def terms_to_field(n, terms):
+    """A bracket's terms {(component, exponents): coeff} as a field."""
+    comps = [{} for _ in range(n)]
+    for (c, e), v in terms.items():
+        comps[c][e] = v
+    d = sum(next(iter(terms))[1]) if terms else 0
+    return PolyVectorField([Poly(n, d, comp) for comp in comps])
+
+
+@st.composite
+def field_triples(draw):
+    n = draw(st.integers(1, 4))
+    return n, [draw(fraction_fields(n)) for _ in range(3)]
+
+
+@bounded(60)
+@given(field_triples())
+def test_bracket_is_a_lie_bracket(case):
+    """Antisymmetry and Jacobi in Vect, on which the so(n+2) certificate's
+    normalizer argument rests."""
+    n, (a, b, c) = case
+    assert bracket(a, a) == {}
+    assert bracket(b, a) == {k: -v for k, v in bracket(a, b).items()}
+    acc = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for k, v in bracket(terms_to_field(n, bracket(x, y)), z).items():
+            acc[k] = acc.get(k, 0) + v
+    assert not any(acc.values())
+
+
 def test_bracket_rejects_fields_on_different_spaces():
     xi = PolyVectorField([Poly.variable(3, k) for k in range(3)])
     eta = PolyVectorField([Poly.variable(4, k) for k in range(4)])
