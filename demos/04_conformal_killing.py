@@ -12,6 +12,9 @@ n = 3
 print(f"kernel of the conformal Killing operator, n = {n}")
 for d in range(5):
     fields = killing.ck_kernel(n, d)
+    # the operator itself, applied field by field, kills the whole kernel
+    if any(not killing.ck_operator(f).is_zero() for f in fields):
+        raise ArithmeticError(f"a degree-{d} kernel field is not killed")
     print(f"  degree {d}: dimension {len(fields)}")
 
 print()

@@ -2,10 +2,11 @@
 
 The Young-symmetrizer oracle rebuilds y_2q on honest tensor words (no
 Casimir, no projector) and must agree rank-for-rank. It keys the rows of
-c_lam by row orbit and builds the sparse c_lam columns once; one call
-ranks them with linalg.rank_sparse and, for shape (d,2), also ranks the
-tensor-word y-map on top of them. The CLI wraps every capability with
-reproducible JSON output and strict exit codes.
+c_lam by row orbit and builds sparse c_lam columns once, for the
+column-strict words only: every other column is a signed copy of one of
+them or zero. One call ranks them with linalg.rank_sparse and, for shape
+(d,2), also ranks the tensor-word y-map on top of them. The CLI wraps
+every capability with reproducible JSON output and strict exit codes.
 """
 
 from liouville import cli, young_map

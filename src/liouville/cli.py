@@ -9,6 +9,7 @@ import functools
 import json
 import os
 import sys
+from math import comb
 
 from . import bott, cech, killing, reconf, weights, young_map
 from .polyspaces import Poly, QuadraticForm, monomials
@@ -105,24 +106,31 @@ def cmd_cech(args):
 
 
 def cmd_ydq(args):
-    _within_budget("YDQ_BUDGET", YDQ_BUDGET, weights.sym_dim(args.n, args.d)
-                   * weights.sym_dim(args.n, 2))
+    n, d = args.n, args.d
+    _within_budget("YDQ_BUDGET", YDQ_BUDGET,
+                   weights.sym_dim(n, d) * weights.sym_dim(n, 2))
     # max(): at d < 2, refused below, 0 ** (d + 2) would divide by zero
-    if args.oracle and (args.n ** max(args.d + 2, 0)
-                        > young_map.ORACLE_WORDS):
+    if args.oracle and n ** max(d + 2, 0) > young_map.ORACLE_WORDS:
         raise ValueError("oracle out of range for these parameters")
-    ker, coker = young_map.kernel_cokernel_dims(args.n, args.d)
-    payload = {"n": args.n, "d": args.d, "ker": ker, "coker": coker}
+    ker, coker = young_map.kernel_cokernel_dims(n, d)
+    # Pieri: S^d S^2 = S^(d+2) + S^(d+1,1) + Sigma^{d,2}, the first two
+    # being S^(d+1) V; y_{d,q} is injective at n >= 3 and kills exactly
+    # the two dimensions of H_d at n = 2
+    expected = (2, 0) if n == 2 else (0, comb(n + d - 1, d) * comb(n + 1, 2)
+                                      - n * comb(n + d, d + 1)
+                                      - comb(n + d - 1, d))
+    if (ker, coker) != expected:
+        raise ArithmeticError(f"y_dq at n={n}, d={d} has (ker, coker) = "
+                              f"({ker}, {coker}), not the Pieri count "
+                              f"{expected}")
+    payload = {"n": n, "d": d, "ker": ker, "coker": coker}
     if args.oracle:
-        rank_sym, rank_y = young_map.young_symmetrizer_oracle(
-            (args.d, 2), args.n)
-        oracle_ker = weights.sym_dim(args.n, args.d) - rank_y
-        oracle_coker = rank_sym - rank_y
-        if (oracle_ker, oracle_coker) != (ker, coker):
+        rank_sym, rank_y = young_map.young_symmetrizer_oracle((d, 2), n)
+        oracle = (weights.sym_dim(n, d) - rank_y, rank_sym - rank_y)
+        if oracle != (ker, coker):
             raise ArithmeticError(
-                f"young_map oracle mismatch at n={args.n}, d={args.d}: "
-                f"({oracle_ker}, {oracle_coker}) vs ({ker}, {coker})"
-            )
+                f"young_map oracle mismatch at n={n}, d={d}: "
+                f"{oracle} vs ({ker}, {coker})")
         payload["oracle"] = "agrees"
     return payload, {}
 
@@ -133,8 +141,8 @@ def cmd_killing(args):
                    n * max((d + 1) * weights.sym_dim(n, d),
                            (n + 2) * (n + 1) // 2))
     basis = killing.ck_kernel(n, d)
-    dim = 2 if n == 2 else (n, n * (n - 1) // 2 + 1, n, 0)[min(d, 3)]
-    if len(basis) != dim:  # Liouville's theorem, or 2 per degree at n = 2
+    dim = killing.liouville_dim(n, d)
+    if len(basis) != dim:
         raise ArithmeticError(f"the degree-{d} kernel has dimension "
                               f"{len(basis)}, not {dim}")
     payload = {"n": n, "d": d, "dim": dim}
@@ -187,7 +195,6 @@ def cmd_selftest(args):
 
 
 def _selftest_weyl():
-    from math import comb
     for n in range(1, 6):
         for d in range(0, 8):
             dim = weights.weyl_dim(weights.pad((d,), n))

@@ -82,15 +82,21 @@ def ck_operator(xi, q=None):
     (on ints when xi is integral) and divided once.
     """
     n = xi.n
-    q = q if q is not None else QuadraticForm.standard(n)
-    den, rows, qy = _ck_form(n, q)
+    form = _ck_form(n, q if q is not None else QuadraticForm.standard(n))
+    return Poly(2 * n, xi.degree + 1, {k: Fraction(v, form[0] * n)
+                                       for k, v in _ck_sum(xi, form).items()})
+
+
+def _ck_sum(xi, form):
+    """den n CK(xi) as its nonzero terms, for form = _ck_form(n, q): one
+    form serves every field of a check."""
+    _, rows, qy = form
     out = {}
     for c, comp in enumerate(xi.components):
         for e, a in comp.coeffs.items():
             for k, v in _ck_term(c, e, rows[c], qy).items():
                 out[k] = out.get(k, 0) + a * v
-    return Poly(2 * n, xi.degree + 1,
-                {k: Fraction(v, den * n) for k, v in out.items() if v})
+    return {k: v for k, v in out.items() if v}
 
 
 def ck_columns(n, d, q=None):
@@ -292,6 +298,14 @@ def _generators(names):
     return [a for a, g in enumerate(names) if g[0] in "PK"]
 
 
+def liouville_dim(n, d):
+    """Dimension of the degree-d conformal Killing fields by Liouville's
+    theorem: n, n(n-1)/2 + 1, n, 0 for d = 0, 1, 2, >= 3 at n >= 3 (the
+    translations, rotations with the dilation, special conformal maps),
+    and 2 in every degree at n = 2."""
+    return 2 if n == 2 else (n, n * (n - 1) // 2 + 1, n, 0)[min(d, 3)]
+
+
 def so_np2_isomorphism(n):
     """Certify that the named conformal basis spans a copy of so(n+2).
 
@@ -309,10 +323,10 @@ def so_np2_isomorphism(n):
         raise ValueError("the identification is stated for n >= 3")
     basis = named_conformal_basis(n)
     names, fields = zip(*basis)
-    q = QuadraticForm.standard(n)
+    form = _ck_form(n, QuadraticForm.standard(n))
     terms = [_terms(f) for f in fields]
     for name, f, t in zip(names, fields, terms):
-        if not t or not ck_operator(f, q).is_zero():
+        if not t or _ck_sum(f, form):
             raise ArithmeticError(f"{name} is not conformal Killing, or is 0")
     images = [m for _, m in conformal_to_so_matrices(n)]
     dim, rank = (n + 2) * (n + 1) // 2, linalg.rank_sparse(images)

@@ -3,7 +3,8 @@
 Rows combine the quadric long-exact-sequence bookkeeping, on Bott answers
 checked against the eight-case table `bott.sdg_table`, with exact rank
 recomputation of the cokernels; a disagreement of the dimension formula
-with an exact rank or with Bott's number is a hard failure. Default row
+with an exact rank or with Bott's number, or of an H^0 row with
+Liouville's closed form, is a hard failure. Default row
 indexing puts Coker(y_{d,q}) at degree d ("source" indexing); "bundle"
 indexing shifts it to d+1.
 """
@@ -41,10 +42,11 @@ def reconf_table(n, dmax, indexing="source"):
     """Cohomology table {d: {"h0": dim, "h1": dim}} for degrees 0..dmax.
 
     H^0 sits in degrees 0..2 (the conformal algebra, graded by field
-    degree); H^1 entries are Coker(y_{d,q}) at degree d ("source"
-    indexing) or d+1 (bundle indexing). H^i = 0 for i >= 2, as the
-    header of `table_to_pretty` says. Inside EXACT_RANGE each H^1 row's
-    one independent check is the exact rank of y_{d,q} (`h1_entry`). Its
+    degree), each row checked against Liouville's closed form
+    `killing.liouville_dim`; H^1 entries are Coker(y_{d,q}) at degree d
+    ("source" indexing) or d+1 (bundle indexing). H^i = 0 for i >= 2, as
+    the header of `table_to_pretty` says. Inside EXACT_RANGE each H^1
+    row's one independent check is the exact rank of y_{d,q} (`h1_entry`). Its
     Bott comparison (bundle degree d+1) reads answers pinned to
     `bott.sdg_table`, so it can fail only if `weyl_dim` breaks duality
     or `coker_dim_formula` is edited.
@@ -56,7 +58,12 @@ def reconf_table(n, dmax, indexing="source"):
     rows = {d: {"h0": 0, "h1": 0} for d in range(dmax + 1)}
     # H^0 from the restriction sequence, degrees 0..2 in bundle grading
     for d in range(3):
-        rows[d]["h0"] = bott.les_restriction_to_Q(n, d)[0]
+        h0 = bott.les_restriction_to_Q(n, d)[0]
+        dim = killing.liouville_dim(n, d)
+        if h0 != dim:
+            raise ArithmeticError(f"restriction sequence at n={n}, d={d} "
+                                  f"gives H^0 = {h0}, not Liouville's {dim}")
+        rows[d]["h0"] = h0
     shift = 0 if indexing == "source" else 1
     for d in range(2, dmax + 1 - shift):
         coker = h1_entry(n, d)

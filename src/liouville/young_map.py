@@ -12,12 +12,13 @@ into the projector these give the closed form
 
 which `y_dq` evaluates in one integer pass. The generic projector,
 `project_isotypic`, is its oracle. A Young-symmetrizer realization in
-V^{tensor (d+2)} is kept as a small-scale independent oracle of the ranks.
+V^{tensor (d+2)}, on its column-strict words, is kept as a small-scale
+independent oracle of the ranks.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, lcm, prod
 
 from . import linalg
@@ -200,15 +201,21 @@ def kernel_cokernel_dims(n, d, q=None):
 # ---------------------------------------------------------------------------
 # Young-symmetrizer oracle (desk-scale tensor realization)
 #
-# c_lam = a_lam b_lam acts on tensor words by permuting slots. Since
-# (a_lam v)[w] = |Stab_R(w)| * (sum of v over the row orbit R.w), every
-# row of c_lam is constant on a row orbit: rows are keyed by orbit and
-# only b_lam's signed column permutations are applied. The sparse c_lam
-# columns are built once per call, applied directly to sym(x^e) tensor q,
-# and both ranks are taken with linalg.rank_sparse.
+# c_lam = a_lam b_lam acts on tensor words by permuting slots,
+# (p.w)[i] = w[p[i]]. Since (a_lam v)[w] = |Stab_R(w)| * (sum of v over
+# the row orbit R.w), every row of c_lam is constant on a row orbit: rows
+# are keyed by orbit and only b_lam's signed column permutations are
+# applied. As b_lam sigma = sgn(sigma) b_lam for sigma in the column group,
+# the column of sigma.w is sgn(sigma) times that of w, and it is zero when
+# a tableau column of w repeats a letter. So only the column-strict words,
+# letters strictly increasing down each column, get a column: the others
+# are signed copies of them or zero, and the rank is unchanged. Both
+# ranks are taken with linalg.rank_sparse.
 # ---------------------------------------------------------------------------
 
-ORACLE_WORDS = 243  # most tensor words n^k the oracle enumerates
+# the largest tensor space n^k the CLI admits to the oracle; the words
+# enumerated are its column-strict ones, 27 of 243 at ((3, 2), n = 3)
+ORACLE_WORDS = 243
 
 
 def _tableau_slots(lam):
@@ -262,10 +269,12 @@ def _stabilizer_order(orbit):
 def young_symmetrizer_columns(lam, n):
     """The Young symmetrizer c_lam = a_lam b_lam on V^{tensor k}.
 
-    Returns {word: column}, one sparse column per tensor basis word. A
-    column is keyed by row orbit, the sorted letters of each tableau row,
-    and holds |Stab_R| times the signed count of b_lam's images of the
-    word in that orbit. Guarded to n^k <= ORACLE_WORDS.
+    Returns {word: column} for the column-strict words only, prod over the
+    tableau columns of C(n, height) of them: any other word's column is
+    sgn(sigma) times that of its column-sorted word, or zero. A column is
+    keyed by row orbit, the sorted letters of each tableau row, and holds
+    |Stab_R| times the signed count of b_lam's images of the word in that
+    orbit. Guarded to n^k <= ORACLE_WORDS.
     """
     lam = tuple(x for x in lam if x)
     k = sum(lam)
@@ -274,28 +283,61 @@ def young_symmetrizer_columns(lam, n):
     rows, cols = _tableau_slots(lam)
     signed = [(p, _perm_sign(p)) for p in _block_perms(cols, k)]
     out = {}
-    for w in product(range(n), repeat=k):
+    for choice in product(*(combinations(range(n), len(c)) for c in cols)):
+        w = [0] * k
+        for col, letters in zip(cols, choice):
+            for slot, a in zip(col, letters):
+                w[slot] = a
         acc = {}
         for p, s in signed:
             orbit = tuple(tuple(sorted(w[p[i]] for i in row)) for row in rows)
             acc[orbit] = acc.get(orbit, 0) + s
-        out[w] = {orbit: c * _stabilizer_order(orbit)
-                  for orbit, c in acc.items() if c}
+        out[tuple(w)] = {orbit: c * _stabilizer_order(orbit)
+                         for orbit, c in acc.items() if c}
     return out
 
 
-def _words_with_content(e):
-    letters = []
-    for i, m in enumerate(e):
-        letters.extend([i] * m)
-    return set(permutations(letters))
+def _oracle_y_columns(c_lam, n, d, q):
+    """Columns of f -> c_{(d,2)}(sym(f) tensor q), keyed by row orbit,
+    over the monomials of S^d; c_lam = young_symmetrizer_columns((d, 2), n).
+
+    Slots 0 and 1 top the two two-cell columns, and the one-cell slots
+    2..d-1 only permute within row 0, commuting with the column group:
+    c_lam is unchanged by them. So the words of sym(x^e) are taken once
+    per pair of letters (a, b) in slots 0 and 1, weighted by the
+    multinomial count of the rest, and each word + ij goes to the signed
+    column of its column-sorted word, or to zero when a == i or b == j.
+    """
+    qt = [(i, j, x) for i, row in enumerate(q.matrix)
+          for j, x in enumerate(row) if x]
+    y_cols = []
+    for e in monomials(n, d):
+        col = {}
+        for a, b in product(range(n), repeat=2):
+            rest = list(e)
+            rest[a] -= 1
+            rest[b] -= 1
+            if rest[a] < 0 or rest[b] < 0:
+                continue
+            weight = factorial(d - 2) // prod(map(factorial, rest))
+            tail = tuple(i for i, m in enumerate(rest) for _ in range(m))
+            for i, j, x in qt:
+                if a == i or b == j:
+                    continue
+                sign = (-1) ** ((a > i) + (b > j))
+                word = (min(a, i), min(b, j)) + tail + (max(a, i), max(b, j))
+                for orbit, c in c_lam[word].items():
+                    col[orbit] = col.get(orbit, 0) + sign * weight * x * c
+        y_cols.append(col)
+    return y_cols
 
 
 def young_symmetrizer_oracle(lam, n, q=None):
     """Rank of the symmetrizer; for shape (d,2) also the oracle y-map rank.
 
     The oracle y-map is f -> c_{(d,2)}(sym(f) tensor q), with q as a
-    symmetric 2-tensor in the last two slots, over the monomials of S^d.
+    symmetric 2-tensor in the last two slots, over the monomials of S^d
+    (`_oracle_y_columns`).
     """
     lam = tuple(x for x in lam if x)
     c_lam = young_symmetrizer_columns(lam, n)
@@ -305,16 +347,5 @@ def young_symmetrizer_oracle(lam, n, q=None):
         q = q if q is not None else QuadraticForm.standard(n)
         if q.n != n:
             raise ValueError("variable-count mismatch")
-        qt = [((i, j), x) for i, row in enumerate(q.matrix)
-              for j, x in enumerate(row) if x]
-        y_cols = []
-        for e in monomials(n, lam[0]):
-            col = {}
-            for w in _words_with_content(e):
-                for ij, x in qt:
-                    for orbit, c in c_lam[w + ij].items():
-                        col[orbit] = col.get(orbit, 0) + x * c
-            y_cols.append(col)
-        y_rank = linalg.rank_sparse(y_cols)
+        y_rank = linalg.rank_sparse(_oracle_y_columns(c_lam, n, lam[0], q))
     return r, y_rank
-

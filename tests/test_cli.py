@@ -178,6 +178,40 @@ class TestExitCodes:
         assert code == 2 and not out
         assert f"degree-{d} kernel has dimension" in err
 
+    def test_ydq_off_the_pieri_count_is_2(self, capsys, monkeypatch):
+        # a weyl_dim one too large on shapes with lam_1 = 3 moves the
+        # cokernel of (3, 2) and no rank
+        from liouville import young_map
+        real = young_map.weyl_dim
+        monkeypatch.setattr(young_map, "weyl_dim",
+                            lambda lam: real(lam) + (lam[0] == 3))
+        code, out, err = run(capsys, "ydq", "--n", "5", "--d", "3")
+        assert code == 2 and not out
+        assert "(0, 141), not the Pieri count (0, 140)" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["reconf", "--n", "4", "--dmax", "4"], "n=4, d=1 gives H^0 = 8, "
+                                                "not Liouville's 7"),
+        (["continuity", "--n-range", "3,4", "--dmax", "3"],
+         "n=3, d=1 gives H^0 = 5, not Liouville's 4")],
+        ids=["reconf", "continuity"])
+    def test_h0_off_liouville_is_2(self, capsys, monkeypatch, argv, message):
+        from liouville import bott
+        real = bott.les_restriction_to_Q
+        monkeypatch.setattr(bott, "les_restriction_to_Q", lambda n, d: {
+            i: h + (d == 1) for i, h in real(n, d).items()})
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert message in err
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (2, 5),
+                                     (3, 2), (3, 3)])
+    def test_every_admitted_oracle_input_agrees(self, capsys, n, d):
+        code, out, _ = run(capsys, "ydq", "--n", str(n), "--d", str(d),
+                           "--oracle")
+        assert code == 0
+        assert json.loads(out)["oracle"] == "agrees"
+
     def test_killing_kernel_matches_liouville(self, capsys):
         for n in range(2, 6):
             for d in range(5):
@@ -388,7 +422,8 @@ class TestBudgets:
     @pytest.mark.parametrize("argv,result", [
         (["cech", "--n", "4", "--box", "3"], ([], {})),
         (["cech", "--n", "11", "--box", "0"], ([], {})),
-        (["ydq", "--n", "7", "--d", "4"], (0, 0)),
+        # the stub returns the Pieri count, which cmd_ydq checks
+        (["ydq", "--n", "7", "--d", "4"], (0, 2436)),
         (["killing", "--n", "6", "--d", "5"], []),
         (["killing", "--n", "10", "--d", "4"], []),
         (["reconf", "--n", "3", "--dmax", "200000"], {}),

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb, prod
 
 import pytest
 
@@ -289,6 +290,24 @@ def word_level_symmetrizer(lam, n):
     return {w3: {w: c for w, c in row.items() if c} for w3, row in mat.items()}
 
 
+def tableau_columns(lam):
+    """Tensor slots of each column of lam, the cells numbered row by row."""
+    starts = [sum(lam[:r]) for r in range(len(lam))]
+    return [[s + c for s, length in zip(starts, lam) if c < length]
+            for c in range(lam[0])]
+
+
+def oracle_forms(n):
+    """The standard, a diagonal and an off-diagonal Fraction form."""
+    diagonal = [[(1, -2, 3)[i] if i == j else 0 for j in range(n)]
+                for i in range(n)]
+    non_diagonal = [[Fraction(2 + i) if i == j else Fraction(1, 3)
+                     if abs(i - j) == 1 else 0 for j in range(n)]
+                    for i in range(n)]
+    return [QuadraticForm.standard(n), QuadraticForm(diagonal),
+            QuadraticForm(non_diagonal)]
+
+
 class TestSymmetrizerOracle:
     def test_wedge_rank(self):
         assert ym.young_symmetrizer_oracle((1, 1), 3) == (3, None)
@@ -317,33 +336,75 @@ class TestSymmetrizerOracle:
         pytest.param(lam, n, id=f"{'-'.join(map(str, lam))}-n{n}")
         for lam, n in in_range_shapes()])
     def test_rows_match_word_level_reference(self, lam, n):
-        # every word-level row of c_lam equals the row of its row orbit,
-        # stabilizer order and b_lam signs included
+        # every word-level column of c_lam is sgn(sigma) times the returned
+        # column of its column-sorted word, each entry read off the row
+        # orbit of its row word, or zero when a column repeats a letter
         cols = ym.young_symmetrizer_columns(lam, n)
-        reference = word_level_symmetrizer(lam, n)
+        reference = {}
+        for w3, row in word_level_symmetrizer(lam, n).items():
+            for w, c in row.items():
+                reference.setdefault(w, {})[w3] = c
+        k = sum(lam)
         bounds = [sum(lam[:r]) for r in range(len(lam) + 1)]
-        for w3 in product(range(n), repeat=sum(lam)):
-            orbit = tuple(tuple(sorted(w3[a:b]))
-                          for a, b in zip(bounds, bounds[1:]))
-            row = {w: c[orbit] for w, c in cols.items() if orbit in c}
-            assert row == reference.get(w3, {})
+        orbit = {w3: tuple(tuple(sorted(w3[a:b]))
+                           for a, b in zip(bounds, bounds[1:]))
+                 for w3 in product(range(n), repeat=k)}
+        for w in product(range(n), repeat=k):
+            sign, strict = 1, list(w)
+            for slots in tableau_columns(lam):
+                letters = [w[i] for i in slots]
+                sign *= (-1) ** sum(a > b for i, a in enumerate(letters)
+                                    for b in letters[i + 1:])
+                sign *= len(set(letters)) == len(letters)
+                for i, a in zip(slots, sorted(letters)):
+                    strict[i] = a
+            col = cols[tuple(strict)] if sign else {}
+            assert reference.get(w, {}) == {
+                w3: sign * col[o] for w3, o in orbit.items() if o in col}
+
+    @pytest.mark.parametrize("lam,n", in_range_shapes())
+    def test_columns_are_the_column_strict_words(self, lam, n):
+        # prod over the tableau columns of C(n, height) words, each with
+        # its letters strictly increasing down every column
+        columns = tableau_columns(lam)
+        cols = ym.young_symmetrizer_columns(lam, n)
+        assert len(cols) == prod(comb(n, len(slots)) for slots in columns)
+        for w in cols:
+            for slots in columns:
+                letters = [w[i] for i in slots]
+                assert letters == sorted(set(letters))
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (2, 5),
+                                     (3, 2), (3, 3)])
+    def test_y_columns_match_word_level_reference(self, n, d):
+        # c_lam(sym(x^e) tensor q) summed over every word of sym(x^e) and
+        # every term of q through the word-level c_lam: each entry is the
+        # returned column's at the row orbit, signs and multinomial
+        # weights included
+        c_lam = ym.young_symmetrizer_columns((d, 2), n)
+        reference = word_level_symmetrizer((d, 2), n)
+        for q in oracle_forms(n):
+            cols = ym._oracle_y_columns(c_lam, n, d, q)
+            qt = [((i, j), x) for i, row in enumerate(q.matrix)
+                  for j, x in enumerate(row) if x]
+            for e, col in zip(monomials(n, d), cols):
+                letters = [i for i, m in enumerate(e) for _ in range(m)]
+                v = [(w + ij, x) for w in set(permutations(letters))
+                     for ij, x in qt]
+                for w3 in product(range(n), repeat=d + 2):
+                    row = reference.get(w3, {})
+                    orbit = (tuple(sorted(w3[:d])), tuple(sorted(w3[d:])))
+                    assert sum(x * row.get(w, 0) for w, x in v) == \
+                        col.get(orbit, 0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ydq_oracle_equivalence(self, n):
-        diagonal = [[(1, -2, 3)[i] if i == j else 0 for j in range(n)]
-                    for i in range(n)]
-        non_diagonal = [[Fraction(2 + i) if i == j else Fraction(1, 3)
-                         if abs(i - j) == 1 else 0 for j in range(n)]
-                        for i in range(n)]
-        forms = [QuadraticForm.standard(n), QuadraticForm(diagonal),
-                 QuadraticForm(non_diagonal)]
         for d in range(2, 6):
             if n ** (d + 2) > 243:
                 continue
             dim_sd = len(monomials(n, d))
-            for q in forms:
+            for q in oracle_forms(n):
                 rank_sym, rank_y = ym.young_symmetrizer_oracle((d, 2), n, q)
                 ker, coker = ym.kernel_cokernel_dims(n, d, q)
                 assert dim_sd - rank_y == ker
                 assert rank_sym - rank_y == coker
-
