@@ -1,8 +1,10 @@
 """The assembled graded cohomology table and the n -> 2 continuity check.
 
-H^0 is the finite conformal algebra in degrees 0..2; H^1 collects the
-cokernels of y_dq, each recomputed by exact rank within the certified
-range and cross-checked against the dimension formula.
+H^0 is the finite conformal algebra in degrees 0..2, each row checked
+against Liouville's closed form (at n = 2 by killing.ck_kernel); H^1
+collects the cokernels of y_dq, each the binomial Pieri count, which
+young_map.kernel_cokernel_dims checks by exact rank within the certified
+range and reconf_table against Bott's Weyl dimensions.
 """
 
 from liouville import reconf

@@ -79,11 +79,6 @@ def sdg_cohomology_on_P(n, d, b):
     return res
 
 
-def coker_dim_formula(n, d):
-    """dim Sigma^{d,2} - dim S^d for C^n; the cokernel size when injective."""
-    return weyl_dim(pad((d, 2), n)) - weyl_dim(pad((d,), n))
-
-
 def les_restriction_to_Q(n, d):
     """Cohomology of S^d(G)(1)|_Q from the multiplication-by-q sequence.
 
@@ -93,8 +88,8 @@ def les_restriction_to_Q(n, d):
     d >= 3. For d <= 2 everything lands in H^0. For d >= 3 the connecting
     map H^1(inner) -> H^1(outer) is the vertical Young multiplication in
     degree d-1, which is injective, and H^1 is Bott's number dim
-    H^1(outer) - dim H^1(inner); `reconf_table` checks it against
-    coker_dim_formula.
+    H^1(outer) - dim H^1(inner), from `weyl_dim`; `reconf_table` checks
+    it against the binomials of `young_map.coker_dim_formula`.
     Returns {i: dimension}.
     """
     if n < 3:

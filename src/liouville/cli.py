@@ -1,7 +1,11 @@
 """Command-line front end. Every computation, reproducible output.
 
-Exit codes: 0 success, 1 usage error, 2 integrity-check failure (an
-exact rank disagreeing with a dimension formula).
+Exit codes: 0 success, 1 usage error, 2 integrity-check failure. Each
+answer is checked where it is computed: y_dq's (ker, coker) in
+`young_map.kernel_cokernel_dims`, the Killing kernel's dimension in
+`killing.ck_kernel`, and the answers of `bott`, `cech` and `reconf` in
+their own modules. The commands add only `ydq --oracle` and
+`selftest`'s own checks.
 """
 
 import argparse
@@ -113,16 +117,6 @@ def cmd_ydq(args):
     if args.oracle and n ** max(d + 2, 0) > young_map.ORACLE_WORDS:
         raise ValueError("oracle out of range for these parameters")
     ker, coker = young_map.kernel_cokernel_dims(n, d)
-    # Pieri: S^d S^2 = S^(d+2) + S^(d+1,1) + Sigma^{d,2}, the first two
-    # being S^(d+1) V; y_{d,q} is injective at n >= 3 and kills exactly
-    # the two dimensions of H_d at n = 2
-    expected = (2, 0) if n == 2 else (0, comb(n + d - 1, d) * comb(n + 1, 2)
-                                      - n * comb(n + d, d + 1)
-                                      - comb(n + d - 1, d))
-    if (ker, coker) != expected:
-        raise ArithmeticError(f"y_dq at n={n}, d={d} has (ker, coker) = "
-                              f"({ker}, {coker}), not the Pieri count "
-                              f"{expected}")
     payload = {"n": n, "d": d, "ker": ker, "coker": coker}
     if args.oracle:
         rank_sym, rank_y = young_map.young_symmetrizer_oracle((d, 2), n)
@@ -140,12 +134,7 @@ def cmd_killing(args):
     _within_budget("KILLING_BUDGET", KILLING_BUDGET,
                    n * max((d + 1) * weights.sym_dim(n, d),
                            (n + 2) * (n + 1) // 2))
-    basis = killing.ck_kernel(n, d)
-    dim = killing.liouville_dim(n, d)
-    if len(basis) != dim:
-        raise ArithmeticError(f"the degree-{d} kernel has dimension "
-                              f"{len(basis)}, not {dim}")
-    payload = {"n": n, "d": d, "dim": dim}
+    payload = {"n": n, "d": d, "dim": len(killing.ck_kernel(n, d))}
     if d <= 2:
         payload["generators"] = killing.basis_to_json(
             killing.named_generators(n, d))
@@ -225,11 +214,8 @@ def _selftest_bott():
 
 def _selftest_ydq():
     for n, d in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        ker, coker = young_map.kernel_cokernel_dims(n, d)
-        ok = (ker, coker) == (2, 0) if n == 2 else ker == 0
-        if not ok:
-            raise ArithmeticError(
-                f"y_dq at n={n}, d={d} has ker={ker}, coker={coker}")
+        # checks its own (ker, coker)
+        young_map.kernel_cokernel_dims(n, d)
         # the closed form behind the columns against the generic projector
         # on x^e q(y): a multiple of y_dq keeps every rank but fails here
         q = QuadraticForm.standard(n)

@@ -116,7 +116,8 @@ def ck_columns(n, d, q=None):
 
 
 def ck_kernel(n, d, q=None):
-    """Basis of degree-d homogeneous conformal Killing fields."""
+    """Basis of degree-d homogeneous conformal Killing fields. Raises
+    ArithmeticError unless it has `liouville_dim(n, d)` fields."""
     if n < 2 or d < 0:
         raise ValueError("need n >= 2, d >= 0")
     cols, src = ck_columns(n, d, q)
@@ -126,6 +127,9 @@ def ck_kernel(n, d, q=None):
         for j, x in v.items():
             comps[j // len(src)][src[j % len(src)]] = x
         basis.append(PolyVectorField([Poly(n, d, c) for c in comps]))
+    if len(basis) != (dim := liouville_dim(n, d)):
+        raise ArithmeticError(f"the degree-{d} kernel has dimension "
+                              f"{len(basis)}, not {dim}")
     return basis
 
 

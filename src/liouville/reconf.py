@@ -1,16 +1,16 @@
 """Graded cohomology table of the derived conformal algebra of flat space.
 
 Rows combine the quadric long-exact-sequence bookkeeping, on Bott answers
-checked against the eight-case table `bott.sdg_table`, with exact rank
-recomputation of the cokernels; a disagreement of the dimension formula
-with an exact rank or with Bott's number, or of an H^0 row with
-Liouville's closed form, is a hard failure. Default row
-indexing puts Coker(y_{d,q}) at degree d ("source" indexing); "bundle"
-indexing shifts it to d+1.
+checked against the eight-case table `bott.sdg_table`, with the binomial
+Pieri count of each cokernel, which `young_map.kernel_cokernel_dims`
+checks by exact rank inside EXACT_RANGE; a disagreement of that count
+with Bott's number, or of an H^0 row with Liouville's closed form, is a
+hard failure. Default row indexing puts Coker(y_{d,q}) at degree d
+("source" indexing); "bundle" indexing shifts it to d+1.
 """
 
 from . import bott, killing, young_map
-from .bott import coker_dim_formula
+from .young_map import coker_dim_formula
 
 # exact rank recomputation is enforced inside this envelope: every cell
 # whose exact rank, from y_dq's closed form, costs at most 0.9 times that
@@ -21,21 +21,15 @@ EXACT_RANGE = {3: 36, 4: 12, 5: 7, 6: 5, 7: 4, 8: 3, 9: 3,
 
 
 def h1_entry(n, d):
-    """Cokernel dimension of y_{d,q}, cross-checked against exact rank.
+    """Cokernel dimension of y_{d,q}: the Pieri count `coker_dim_formula`.
 
-    Inside EXACT_RANGE the exact rank is the row's only independent
-    check; beyond it the row is the dimension formula alone.
+    Inside EXACT_RANGE it is also recomputed by exact rank, which
+    `young_map.kernel_cokernel_dims` checks against the count; beyond it
+    the row is the count alone, compared with Bott by `reconf_table`.
     """
-    formula = coker_dim_formula(n, d)
     if d <= EXACT_RANGE.get(n, 0):
-        ker, coker = young_map.kernel_cokernel_dims(n, d)
-        if ker != 0 or coker != formula:
-            raise ArithmeticError(
-                f"exact rank of y_dq at n={n}, d={d} disagrees with the "
-                f"dimension formula: ker={ker}, coker={coker}, "
-                f"formula={formula}"
-            )
-    return formula
+        young_map.kernel_cokernel_dims(n, d)
+    return coker_dim_formula(n, d)
 
 
 def reconf_table(n, dmax, indexing="source"):
@@ -45,11 +39,10 @@ def reconf_table(n, dmax, indexing="source"):
     degree), each row checked against Liouville's closed form
     `killing.liouville_dim`; H^1 entries are Coker(y_{d,q}) at degree d
     ("source" indexing) or d+1 (bundle indexing). H^i = 0 for i >= 2, as
-    the header of `table_to_pretty` says. Inside EXACT_RANGE each H^1
-    row's one independent check is the exact rank of y_{d,q} (`h1_entry`). Its
-    Bott comparison (bundle degree d+1) reads answers pinned to
-    `bott.sdg_table`, so it can fail only if `weyl_dim` breaks duality
-    or `coker_dim_formula` is edited.
+    the header of `table_to_pretty` says. Each H^1 row is `h1_entry`'s
+    Pieri count, and its Bott comparison (bundle degree d+1) sets the
+    Weyl dimensions of two answers pinned to `bott.sdg_table` against
+    those binomials.
     """
     if n < 3 or dmax < 3:
         raise ValueError("need n >= 3 and dmax >= 3")
@@ -83,9 +76,10 @@ def h0_total(table):
 def continuity_report(n_range, dmax):
     """Per-n Hilbert series of H^0 and H^1 graded dimensions.
 
-    n=2 comes from the Killing kernel alone (H^1 vanishes identically);
-    n >= 3 from the assembled table (source indexing). The whole range and
-    dmax are checked before any row is computed.
+    n=2 comes from the Killing kernel alone (H^1 vanishes identically),
+    which `killing.ck_kernel` checks; n >= 3 from the assembled table
+    (source indexing). The whole range and dmax are checked before any
+    row is computed.
     """
     n_range = list(n_range)
     if dmax < 0:

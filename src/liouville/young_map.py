@@ -19,7 +19,7 @@ independent oracle of the ranks.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from . import linalg
 from .polyspaces import Poly, QuadraticForm, monomials
@@ -188,14 +188,28 @@ def y_dq_kernel(n, d, q=None):
             for v in linalg.nullspace(cols)]
 
 
+def coker_dim_formula(n, d):
+    """dim Sigma^{d,2} - dim S^d for C^n in binomials, by Pieri's rule
+    S^d S^2 = S^(d+1) V + Sigma^{d,2}; y_dq's cokernel size at n >= 3."""
+    return (comb(n + d - 1, d) * comb(n + 1, 2) - n * comb(n + d, d + 1)
+            - comb(n + d - 1, d))
+
+
 def kernel_cokernel_dims(n, d, q=None):
-    """(ker, coker) of y_dq via exact rank; coker relative to Sigma^{d,2}."""
+    """(ker, coker) of y_dq via exact rank; coker relative to Sigma^{d,2}
+    of `weyl_dim`'s dimension. Raises ArithmeticError unless it is
+    (0, coker_dim_formula(n, d)) at n >= 3, where y_dq is injective, or
+    (2, 0) at n = 2, where it kills exactly the two dimensions of H_d."""
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
     cols, src = y_dq_columns(n, d, q)
     r = linalg.rank_sparse(cols)
-    target = weyl_dim(pad((d, 2), n))
-    return len(src) - r, target - r
+    dims = len(src) - r, weyl_dim(pad((d, 2), n)) - r
+    expected = (2, 0) if n == 2 else (0, coker_dim_formula(n, d))
+    if dims != expected:
+        raise ArithmeticError(f"y_dq at n={n}, d={d} has (ker, coker) = "
+                              f"{dims}, not the Pieri count {expected}")
+    return dims
 
 
 # ---------------------------------------------------------------------------

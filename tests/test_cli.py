@@ -170,10 +170,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("n,d", [(4, 0), (4, 1), (4, 2), (2, 3)])
     def test_killing_kernel_short_of_liouville_is_2(self, capsys,
                                                     monkeypatch, n, d):
-        from liouville import killing
-        real = killing.ck_kernel
-        monkeypatch.setattr(killing, "ck_kernel",
-                            lambda *args: real(*args)[1:])
+        # one kernel vector lost below ck_kernel, which checks its count
+        from liouville import linalg
+        real = linalg.nullspace
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda cols: real(cols)[1:])
         code, out, err = run(capsys, "killing", "--n", str(n), "--d", str(d))
         assert code == 2 and not out
         assert f"degree-{d} kernel has dimension" in err
@@ -221,8 +222,10 @@ class TestExitCodes:
     def test_failed_selftest_check_is_2(self, capsys, monkeypatch):
         from liouville import young_map
 
-        monkeypatch.setattr(young_map, "kernel_cokernel_dims",
-                            lambda n, d: (1, 1))
+        # one column, and its monomial, lost below kernel_cokernel_dims
+        cols = young_map.y_dq_columns
+        monkeypatch.setattr(young_map, "y_dq_columns", lambda n, d, q=None:
+                            tuple(x[1:] for x in cols(n, d, q)))
         code, _, err = run(capsys, "selftest")
         assert code == 2
         assert "integrity" in err
@@ -231,13 +234,16 @@ class TestExitCodes:
         # python -O strips asserts; the integrity checks must not be asserts
         script = ("import sys\n"
                   "from liouville import cli, young_map\n"
-                  "young_map.kernel_cokernel_dims = lambda n, d: (1, 1)\n"
+                  "cols = young_map.y_dq_columns\n"
+                  "young_map.y_dq_columns = lambda n, d, q=None: tuple(\n"
+                  "    x[1:] for x in cols(n, d, q))\n"
                   "sys.exit(cli.run(['selftest']))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=src_env(), capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 2, proc.stderr
-        assert "y_dq at n=2, d=2 has ker=1" in proc.stderr
+        assert ("y_dq ranks: y_dq at n=2, d=2 has (ker, coker) = (1, 0), "
+                "not the Pieri count (2, 0)") in proc.stderr
 
     def test_doubled_y_dq_fails_selftest(self, capsys, monkeypatch):
         # twice y_dq has the ranks of y_dq, so only the projector oracle
@@ -422,7 +428,8 @@ class TestBudgets:
     @pytest.mark.parametrize("argv,result", [
         (["cech", "--n", "4", "--box", "3"], ([], {})),
         (["cech", "--n", "11", "--box", "0"], ([], {})),
-        # the stub returns the Pieri count, which cmd_ydq checks
+        # the stub returns the true (ker, coker); kernel_cokernel_dims,
+        # which it replaces, checks that against the Pieri count
         (["ydq", "--n", "7", "--d", "4"], (0, 2436)),
         (["killing", "--n", "6", "--d", "5"], []),
         (["killing", "--n", "10", "--d", "4"], []),

@@ -1,0 +1,96 @@
+"""A catalogue of source mutants that some integrity check must catch.
+
+Each row (name, file, old, new) puts one fault into a temporary copy of
+src/liouville. A fixed list of commands then runs in one `python -O`
+subprocess, so a check that is an assert would be stripped. Every command
+whose stdout the mutant changes must exit 2, and at least one must
+change: a mutant that no command notices tests no check. A row is added
+with each check that closes an escape; `bott` and `sheaf` have none yet.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liouville"
+
+COMMANDS = [
+    ["reconf", "--n", "5", "--dmax", "10"],
+    ["continuity", "--n-range", "2,3", "--dmax", "4"],
+    ["killing", "--n", "2", "--d", "2"],
+    ["killing", "--n", "3", "--d", "2"],
+    ["ydq", "--n", "5", "--d", "3"],
+    ["ydq", "--n", "5", "--d", "10"],
+    ["selftest"],
+]
+
+# prints [exit code, stdout] per command; an exception that escapes
+# cli.run is recorded by its name in place of an exit code
+SCRIPT = """\
+import contextlib, io, json, sys
+from liouville import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.run(argv)
+        except Exception as e:
+            code = type(e).__name__
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+MUTANTS = [
+    # CK's trace term: continuity's n = 2 rows come from ck_kernel alone
+    ("ck-trace-weight", "killing.py",
+     "w = -2 * e[c]", "w = -3 * e[c]"),
+    # beyond EXACT_RANGE, Bott's H^1 at n = 5, d = 10 moves with Sigma^{10,2}
+    ("weyl-two-parts-with-a-10", "weights.py",
+     "    return d\n",
+     "    return d + (sum(map(bool, lam)) >= 2 and 10 in map(abs, lam))\n"),
+    ("weyl-lambda1-is-3", "weights.py",
+     "    return d\n", "    return d + (lam[0] == 3)\n"),
+    ("les-h1-plus-one", "bott.py",
+     "return {1: outer - inner}", "return {1: outer - inner + 1}"),
+]
+
+
+def run_commands(root):
+    """[exit code, stdout] of each command, importing liouville from root."""
+    env = dict(os.environ, PYTHONPATH=str(root))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT, json.dumps(COMMANDS)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def unmutated():
+    results = run_commands(PACKAGE.parent)
+    assert [code for code, _ in results] == [0] * len(COMMANDS)
+    return results
+
+
+@pytest.mark.parametrize("name,file,old,new", MUTANTS,
+                         ids=[row[0] for row in MUTANTS])
+def test_mutant_exits_2(tmp_path, unmutated, name, file, old, new):
+    copy = tmp_path / "liouville"
+    shutil.copytree(PACKAGE, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (copy / file).read_text()
+    assert source.count(old) == 1, f"{name}: {old!r} is not one line"
+    (copy / file).write_text(source.replace(old, new))
+    changed = [(argv, code) for argv, (code, out), (_, want)
+               in zip(COMMANDS, run_commands(tmp_path), unmutated)
+               if out != want]
+    assert changed, f"{name} changes no command's output"
+    escaped = [(argv, code) for argv, code in changed if code != 2]
+    assert not escaped, f"{name} changed output without exit 2: {escaped}"

@@ -63,12 +63,11 @@ class TestTable:
 
 class TestIntegrityCheck:
     def test_formula_disagreement_is_hard_failure(self, monkeypatch):
+        # one column, and its monomial, lost below kernel_cokernel_dims
         from liouville import young_map
-
-        def wrong(n, d, q=None):
-            return (1, 0)
-
-        monkeypatch.setattr(young_map, "kernel_cokernel_dims", wrong)
+        cols = young_map.y_dq_columns
+        monkeypatch.setattr(young_map, "y_dq_columns", lambda n, d, q=None:
+                            tuple(x[1:] for x in cols(n, d, q)))
         with pytest.raises(ArithmeticError):
             reconf.h1_entry(3, 2)
 

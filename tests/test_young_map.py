@@ -173,6 +173,19 @@ class TestYdq:
         assert ym.kernel_cokernel_dims(4, 2) == (0, 10)
         assert ym.kernel_cokernel_dims(3, 3) == (0, 5)
 
+    def test_coker_dim_formula_is_the_weyl_difference(self, monkeypatch):
+        # the reference: dim Sigma^{d,2} - dim S^d by the Weyl formula
+        want = {(n, d): weyl_dim(pad((d, 2), n)) - weyl_dim(pad((d,), n))
+                for n in range(2, 31) for d in range(2, 61)}
+
+        def refuse(lam):
+            raise AssertionError("coker_dim_formula called weyl_dim")
+
+        from liouville import weights
+        monkeypatch.setattr(weights, "weyl_dim", refuse)
+        monkeypatch.setattr(ym, "weyl_dim", refuse)
+        assert {k: ym.coker_dim_formula(*k) for k in want} == want
+
     def test_scaling_q_invariance(self):
         q = QuadraticForm.standard(3)
         q_scaled = QuadraticForm([[Fraction(5, 3) * x for x in row]
