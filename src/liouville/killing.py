@@ -8,8 +8,8 @@ denominators of q: its sparse columns are all ints, one multiple of CK,
 and its kernel per degree is their exact nullspace. The degree-(0,1,2)
 kernel carries the usual conformal algebra: two exact ranks over the
 graph {(x, phi x)} of phi, the map of the named basis to its images in
-so(n+2) (q split-extended to C^{n+2}), show from the brackets of the P's
-and K's that it is closed, and one rank that phi is onto. Both sides
+so(n+2) (q split-extended to C^{n+2}), show from the brackets of P_1..P_n
+and K_1 that it is closed, and one rank that phi is onto. Both sides
 touch only nonzero terms: the bracket is accumulated into one dict and
 returned as its terms {(component, exponents): coeff}, each image is
 built as its nonzero entries {(i, j): x} and commutators are taken on
@@ -201,6 +201,15 @@ def _terms(field):
             for e, v in comp.coeffs.items()}
 
 
+def _field(n, terms):
+    """The field of a bracket's terms {(component, exponents): coeff}."""
+    comps = [{} for _ in range(n)]
+    for (c, e), v in terms.items():
+        comps[c][e] = v
+    d = sum(next(iter(terms))[1]) if terms else 0
+    return PolyVectorField([Poly(n, d, comp) for comp in comps])
+
+
 def structure_constants(named_basis):
     """Exact structure constants {(a, b): {c: coeff}}, over basis indices
     a < b, of the conformal basis under the bracket."""
@@ -298,8 +307,8 @@ def check_jacobi(constants, dim):
 
 
 def _generators(names):
-    """Indices of the P's and K's, which generate so(n+2)."""
-    return [a for a, g in enumerate(names) if g[0] in "PK"]
+    """Indices of P_1..P_n and K_1, which generate so(n+2)."""
+    return [a for a, g in enumerate(names) if g[0] == "P" or g == "K1"]
 
 
 def liouville_dim(n, d):
@@ -316,11 +325,15 @@ def so_np2_isomorphism(n):
     phi is a homomorphism exactly when the span G of the graph vectors
     (field terms, image entries; their keys never collide) is closed under
     the bracket of Vect + gl(n+2), where N(G) = {x : [x, G] in G} is a
-    subalgebra by Jacobi. So two ranks decide it: the P's and K's bracket
-    every generator into G (they lie in N(G)) and, with their mutual
-    brackets, span G (G lies in N(G)). Images of rank dim so(n+2), simple
-    for n >= 3, and nonzero fields make G isomorphic to both sides; the
-    report's "jacobi" and "structure_constants_match" rest on this.
+    subalgebra by Jacobi. S = {P_1..P_n, K_1} generates so(n+2), so two
+    ranks decide it. The graph with the brackets of S with every generator
+    has rank dim: Lie(S) lies in N(G). The graph vectors of S, [P_i, K_1],
+    [K_1, [P_i, K_1]] (the other K's) and [[P_i, K_1], [P_j, K_1]] (the
+    R_ij), 2 <= i < j, are dim vectors of Lie(S) in G; of rank dim, they
+    span G, so G lies in N(G) and is closed. C(dim, 2) - C(dim - n - 1, 2)
+    + (n - 1) + C(n - 1, 2) brackets in all. Images of rank dim so(n+2),
+    simple for n >= 3, and nonzero fields make G isomorphic to both sides;
+    the report's "jacobi" and "structure_constants_match" rest on this.
     Raises ArithmeticError naming the offending generator or pair.
     """
     if n < 3:
@@ -337,18 +350,22 @@ def so_np2_isomorphism(n):
     if not len(basis) == rank == dim:
         raise ArithmeticError(f"the so({n + 2}) images of {len(basis)} "
                               f"generators have rank {rank}, not {dim}")
-    graph = [{**t, **m} for t, m in zip(terms, images, strict=True)]
-    product = lambda a, b: {**bracket(fields[a], fields[b]),
-                            **_comm(images[a], images[b])}
-    gens, index = _generators(names), {}
-    brackets = {(a, b): product(a, b) for a, b in combinations(range(dim), 2)
-                if a in gens or b in gens}
+    pairs = list(zip(fields, images, strict=True))
+    graph = list(zip(terms, images))
+    lie = lambda x, y: (bracket(x[0], y[0]), _comm(x[1], y[1]))
+    gens, k1, index = _generators(names), names.index("K1"), {}
+    brackets = {(a, b): lie(pairs[a], pairs[b]) for a, b in
+                combinations(range(dim), 2) if a in gens or b in gens}
     span = lambda vs: linalg.rank_sparse([
-        {index.setdefault(k, len(index)): x for k, x in v.items()} for v in vs])
+        {index.setdefault(k, len(index)): x for k, x in (t | m).items()}
+        for t, m in vs])
     if span(graph + [*brackets.values()]) != dim:
-        _solve(graph, product, names)  # raises, naming a pair outside it
-    if span([graph[s] for s in gens] + [v for (a, b), v in brackets.items()
-                                        if a in gens and b in gens]) != dim:
+        _solve([t | m for t, m in graph],  # raises, naming a pair outside G
+               lambda a, b: dict.__or__(*lie(pairs[a], pairs[b])), names)
+    pk = [brackets[p, k1] for p in gens if p != k1]  # [P_i, K_1]
+    w = [(_field(n, t), m) for t, m in pk[1:]]  # i >= 2, field and image
+    if span([graph[s] for s in gens] + pk + [lie(pairs[k1], x) for x in w]
+            + [lie(x, y) for x, y in combinations(w, 2)]) != dim:
         raise ArithmeticError("P and K do not generate the graph")
     return {"n": n, "dimension": dim, "generators": list(names),
             "jacobi": "exact", "structure_constants_match": True}

@@ -77,25 +77,28 @@ def test_every_rref_caller_passes_int_keyed_columns():
     assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 2
 
 
-def test_so_identification_brackets_only_pairs_with_p_or_k():
+@pytest.mark.parametrize("n, calls", [(3, 33), (4, 66), (5, 115), (6, 183)])
+def test_so_identification_brackets_only_p_and_k1(n, calls):
     # the traced so-structure pass reads the bracket's cost off
     # killing.bracket, so so_np2_isomorphism must call it by its module
-    # name once per pair that holds a P or a K: 39 of so(5)'s 45 pairs,
-    # all but the 6 among R12, R13, R23 and D
+    # name once per pair that holds P_1..P_n or K_1, C(dim, 2) -
+    # C(dim - n - 1, 2), and once per depth-2 bracket: [K1, [P_i, K1]]
+    # for i >= 2 and [[P_i, K1], [P_j, K1]] for 2 <= i < j
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
     from liouville import killing
     tracer = tracing.Tracer()
     with tracer.installed():
-        killing.so_np2_isomorphism(3)
-    assert tracing.layer_metrics(tracer.spans)["killing.bracket.calls"] == 39
+        killing.so_np2_isomorphism(n)
+    assert tracing.layer_metrics(tracer.spans)["killing.bracket.calls"] \
+        == calls
 
 
 def test_so_identification_traces_three_ranks_and_no_solve():
     # one rank of the so(5) images, one of the graph with the brackets
-    # (closure), one of the P's and K's with theirs (generation); a
-    # passing certificate solves nothing, builds neither structure-constant
-    # table and runs no Jacobi check
+    # (closure), one of the vectors built from P_1..P_n and K_1
+    # (generation); a passing certificate solves nothing, builds neither
+    # structure-constant table and runs no Jacobi check
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
     from liouville import killing

@@ -36,16 +36,6 @@ def so_matrices(n):
             for name, m in killing.conformal_to_so_matrices(n)]
 
 
-def terms_to_field(n, terms):
-    """A bracket's terms {(component, exponents): coeff} as a field; Poly
-    refuses a term whose degree differs from the first one's."""
-    comps = [{} for _ in range(n)]
-    for (c, e), v in terms.items():
-        comps[c][e] = v
-    d = sum(next(iter(terms))[1]) if terms else 0
-    return PolyVectorField([Poly(n, d, comp) for comp in comps])
-
-
 def translation(n, i):
     return PolyVectorField([
         Poly(n, 0, {(0,) * n: 1}) if k == i else Poly(n, 0)
@@ -172,7 +162,7 @@ class TestBracket:
                 br = bracket(a, b)
                 if not br:
                     continue
-                t = ck_operator(terms_to_field(n, br))
+                t = ck_operator(killing._field(n, br))
                 assert t.is_zero()
 
 
@@ -272,14 +262,39 @@ class TestSoNp2:
 
     def test_generators_short_of_so_n_plus_2_are_caught(self, monkeypatch):
         # the brackets of the P's with every generator stay in the graph,
-        # so closure holds for this set; only generation fails: the P's
-        # with their mutual brackets, all zero, span 3 of the 10 vectors
+        # so closure holds for this set; only generation fails: K1, found
+        # by name, still yields [P_i, K1], the other K's and the R_ij, but
+        # its own graph vector is missing, so they span 9 of the 10
         real = killing._generators
         monkeypatch.setattr(killing, "_generators", lambda names: [
             a for a in real(names) if names[a][0] == "P"])
         with pytest.raises(ArithmeticError,
                            match="P and K do not generate the graph"):
             killing.so_np2_isomorphism(3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_single_corruption_is_caught(self, monkeypatch, n):
+        # one generator's field or image times 2 or -1, or two adjacent
+        # images swapped: bracketing only P_1..P_n and K_1 with every
+        # generator loses none of these to the certificate
+        basis = killing.named_conformal_basis(n)
+        images = killing.conformal_to_so_matrices(n)
+        field = lambda f, c: PolyVectorField([p.scale(c)
+                                              for p in f.components])
+        image = lambda m, c: {k: c * x for k, x in m.items()}
+        at = lambda seq, a, x: seq[:a] + [(seq[a][0], x)] + seq[a + 1:]
+        cases = [case for a in range(len(basis)) for c in (2, -1)
+                 for case in ((at(basis, a, field(basis[a][1], c)), images),
+                              (basis, at(images, a, image(images[a][1], c))))]
+        cases += [(basis, at(at(images, a, images[a + 1][1]), a + 1,
+                             images[a][1])) for a in range(len(images) - 1)]
+        for named, mats in cases:
+            monkeypatch.setattr(killing, "named_conformal_basis",
+                                lambda _: named)
+            monkeypatch.setattr(killing, "conformal_to_so_matrices",
+                                lambda _: mats)
+            with pytest.raises(ArithmeticError):
+                killing.so_np2_isomorphism(n)
 
     def test_zero_fields_are_caught(self, monkeypatch):
         # zero fields with the right images close the graph and pass the

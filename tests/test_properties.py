@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from liouville import cech, killing, young_map as ym
-from liouville.killing import (PolyVectorField, _terms, bracket,
+from liouville.killing import (PolyVectorField, _field, _terms, bracket,
                                ck_columns, ck_operator)
 from liouville.polyspaces import Poly, QuadraticForm, monomials
 
@@ -441,15 +441,6 @@ def test_bracket_matches_poly_arithmetic(case):
     assert bracket(eta, xi) == {k: -v for k, v in ref.items()}
 
 
-def terms_to_field(n, terms):
-    """A bracket's terms {(component, exponents): coeff} as a field."""
-    comps = [{} for _ in range(n)]
-    for (c, e), v in terms.items():
-        comps[c][e] = v
-    d = sum(next(iter(terms))[1]) if terms else 0
-    return PolyVectorField([Poly(n, d, comp) for comp in comps])
-
-
 @st.composite
 def field_triples(draw):
     n = draw(st.integers(1, 4))
@@ -466,7 +457,7 @@ def test_bracket_is_a_lie_bracket(case):
     assert bracket(b, a) == {k: -v for k, v in bracket(a, b).items()}
     acc = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        for k, v in bracket(terms_to_field(n, bracket(x, y)), z).items():
+        for k, v in bracket(_field(n, bracket(x, y)), z).items():
             acc[k] = acc.get(k, 0) + v
     assert not any(acc.values())
 
