@@ -10,10 +10,12 @@ kernel carries the usual conformal algebra: two exact ranks over the
 graph {(x, phi x)} of phi, the map of the named basis to its images in
 so(n+2) (q split-extended to C^{n+2}), show from the brackets of P_1..P_n
 and K_1 that it is closed, and one rank that phi is onto. Both sides
-touch only nonzero terms: the bracket is accumulated into one dict and
-returned as its terms {(component, exponents): coeff}, each image is
-built as its nonzero entries {(i, j): x} and commutators are taken on
-those. Values are ints wherever they are integral.
+touch only nonzero terms: each field is built from its terms, the
+bracket is accumulated into one dict and returned as its terms
+{(component, exponents): coeff}, each image is built as its nonzero
+entries {(i, j): x} and commutators are taken on those. One linalg.solve
+of brackets over the basis reads structure constants, or names the pair
+that fails closure. Values are ints wherever they are integral.
 """
 
 from fractions import Fraction
@@ -164,29 +166,26 @@ def bracket(xi, eta):
 # ---------------------------------------------------------------------------
 
 def named_generators(n, d):
-    """The named conformal generators of degree d (standard q): the
-    translations P_i at 0, the rotations R_ij and dilation D at 1, the
-    special conformal K_i at 2 and none above."""
-    x = lambda i: Poly.variable(n, i)
+    """The named conformal generators of degree d (standard q), built
+    from their terms: the translations P_i at 0, the rotations R_ij and
+    dilation D at 1, the special conformal K_i = 2 x_i x_m in component
+    m != i and x_i^2 - sum_{k != i} x_k^2 in component i at 2, none above."""
     if d == 0:
-        return [(f"P{i+1}", PolyVectorField(
-            [Poly(n, 0, {(0,) * n: 1 if k == i else 0}) for k in range(n)]))
-                for i in range(n)]
-    out = []
+        return [(f"P{i+1}", _field(n, {(i, (0,) * n): 1})) for i in range(n)]
+    if d > 2:
+        return []
+    e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     if d == 1:
-        for i in range(n):
-            for j in range(i + 1, n):
-                comps = [Poly(n, 1) for _ in range(n)]
-                comps[j] = x(i)
-                comps[i] = x(j).scale(-1)
-                out.append((f"R{i+1}{j+1}", PolyVectorField(comps)))
-        out.append(("D", PolyVectorField([x(k) for k in range(n)])))
-    if d == 2:
-        r2 = QuadraticForm.standard(n).as_poly()
-        for i in range(n):
-            comps = [(x(i) * x(m)).scale(2) for m in range(n)]
-            comps[i] = comps[i] - r2
-            out.append((f"K{i+1}", PolyVectorField(comps)))
+        return [(f"R{i+1}{j+1}", _field(n, {(j, e[i]): 1, (i, e[j]): -1}))
+                for i, j in combinations(range(n), 2)] + [
+            ("D", _field(n, {(k, e[k]): 1 for k in range(n)}))]
+    out = []
+    for i in range(n):
+        terms = {(m, tuple(map(add, e[i], e[m]))): 2 - (m == i)
+                 for m in range(n)}
+        terms.update(((i, tuple(map(add, e[k], e[k]))), -1)
+                     for k in range(n) if k != i)
+        out.append((f"K{i+1}", _field(n, terms)))
     return out
 
 
@@ -202,7 +201,7 @@ def _terms(field):
 
 
 def _field(n, terms):
-    """The field of a bracket's terms {(component, exponents): coeff}."""
+    """The field of terms {(component, exponents): coeff}."""
     comps = [{} for _ in range(n)]
     for (c, e), v in terms.items():
         comps[c][e] = v
@@ -213,33 +212,26 @@ def _field(n, terms):
 def structure_constants(named_basis):
     """Exact structure constants {(a, b): {c: coeff}}, over basis indices
     a < b, of the conformal basis under the bracket."""
-    fields = [f for _, f in named_basis]
+    names, fields = zip(*named_basis)
     return _solve([_terms(f) for f in fields],
-                  lambda a, b: bracket(fields[a], fields[b]),
-                  [name for name, _ in named_basis])
+                  {(a, b): bracket(fields[a], fields[b])
+                   for a, b in combinations(range(len(fields)), 2)}, names)
 
 
-def _solve(basis, product, names):
-    """Coordinates of product(a, b) over the sparse basis vectors for every
-    pair a < b, exactly: one reduced echelon form of [basis | products],
-    each key that occurs numbered as a row, solves them all; a product
-    outside the span raises ArithmeticError naming its pair."""
-    pairs = list(combinations(range(len(basis)), 2))
+def _solve(basis, products, names):
+    """Coordinates {(a, b): {c: coeff}} of each product {(a, b): vector}
+    over the sparse basis vectors, exactly, by one linalg.solve with each
+    key that occurs numbered as a row; a product outside the span raises
+    ArithmeticError naming its pair."""
     index = {}
     cols = [{index.setdefault(r, len(index)): x for r, x in v.items()}
-            for v in basis + [product(a, b) for a, b in pairs]]
-    red, pivots = linalg.rref(cols)
-    nb = len(basis)
-    out = {k: {} for k in pairs}
-    for row, pc in zip(red, pivots):
-        if pc >= nb:
-            a, b = pairs[pc - nb]
-            raise ArithmeticError(
-                f"[{names[a]}, {names[b]}] left the span of the basis")
-        for j, x in row.items():
-            if j >= nb:
-                out[pairs[j - nb]][pc] = x
-    return out
+            for v in [*basis, *products.values()]]
+    coords = linalg.solve(cols[:len(basis)], cols[len(basis):])
+    if len(coords) < len(products):
+        a, b = list(products)[len(coords)]
+        raise ArithmeticError(
+            f"[{names[a]}, {names[b]}] left the span of the basis")
+    return dict(zip(products, coords))
 
 
 def conformal_to_so_matrices(n):
@@ -277,10 +269,9 @@ def _comm(a, b):
 
 def so_structure_constants(n):
     """Structure constants of the so(n+2) images of the conformal basis."""
-    named = conformal_to_so_matrices(n)
-    mats = [m for _, m in named]
-    return _solve(mats, lambda a, b: _comm(mats[a], mats[b]),
-                  [name for name, _ in named])
+    names, mats = zip(*conformal_to_so_matrices(n))
+    return _solve(mats, {(a, b): _comm(mats[a], mats[b])
+                         for a, b in combinations(range(len(mats)), 2)}, names)
 
 
 def check_jacobi(constants, dim):
@@ -361,7 +352,7 @@ def so_np2_isomorphism(n):
         for t, m in vs])
     if span(graph + [*brackets.values()]) != dim:
         _solve([t | m for t, m in graph],  # raises, naming a pair outside G
-               lambda a, b: dict.__or__(*lie(pairs[a], pairs[b])), names)
+               {k: t | m for k, (t, m) in brackets.items()}, names)
     pk = [brackets[p, k1] for p in gens if p != k1]  # [P_i, K_1]
     w = [(_field(n, t), m) for t, m in pk[1:]]  # i >= 2, field and image
     if span([graph[s] for s in gens] + pk + [lie(pairs[k1], x) for x in w]

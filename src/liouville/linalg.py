@@ -1,21 +1,21 @@
-"""Exact rational linear algebra: rank, nullspace, RREF.
+"""Exact rational linear algebra: rank, nullspace, RREF, coordinates.
 
-One sparse fraction-free column echelon does all of it. Matrices come as
-sparse columns {row: value} with int or Fraction values. A column of
-nonzero ints, as the y_{d,q} columns are, is taken as it is after one
-type check of its entries; any other column is cleared to integers with
-its zeros dropped. Column j is tagged {j: denominator} and reduced
-against the pivots found so far by integer cross-multiplication
-(Bareiss-style, no Fractions inside the loop); every combination is
-applied to its tag as well, so a tag always says which combination of
-the input columns its vector is. A column that reduces to zero leaves
-its tag as a relation: the kernel vector with a nonzero entry at j and
-its other entries on the pivot columns before j. That vector is unique
-up to scale, so the kernel scaled to 1 at each free column and the
-reduced row echelon form read off the relations are reproducible
-bit-for-bit. rref and nullspace hand back sparse rows and vectors
-{column: value}, ints where integral (`_exact`). Only `rank` takes dense
-rows, for small dense inputs such as a Gram matrix.
+One sparse fraction-free column echelon does all of it, and no other
+module reads one. Matrices come as sparse columns {row: value} with int
+or Fraction values. A column of nonzero ints, as the y_{d,q} columns
+are, is taken as it is after one type check of its entries; any other
+column is cleared to integers with its zeros dropped. Column j is tagged
+{j: denominator} and reduced against the pivots found so far by integer
+cross-multiplication (Bareiss-style, no Fractions inside the loop);
+every combination is applied to its tag as well, so a tag always says
+which combination of the input columns its vector is. A column that
+reduces to zero leaves its tag as a relation: the kernel vector with a
+nonzero entry at j and its other entries on the pivot columns p before
+j. That vector is unique up to scale, so the kernel scaled to 1 at each
+free column, and j's coordinates -tag[p] / tag[j] (rref's entries, and
+solve's answer for targets placed after the columns) are reproducible
+bit-for-bit, as sparse {column: value} dicts, ints where integral
+(`_exact`). Only `rank` takes dense rows, for small dense inputs.
 """
 
 from fractions import Fraction
@@ -97,22 +97,36 @@ def rank_sparse(columns):
     return len(_echelon(columns)[0])
 
 
+def _coordinates(tag, j):
+    """Column j over the pivot columns of its relation tag: -tag[p] /
+    tag[j] at each pivot p, an int where integral."""
+    return {p: _exact(Fraction(-x, tag[j])) for p, x in tag.items() if p != j}
+
+
 def rref(columns):
     """Reduced row echelon form over Q of a matrix given as sparse columns.
 
     Returns (rows, pivot_columns): each row a sparse {column: value}
-    dict with 1 at its pivot column, in pivot order. A free column j is
-    -tag[p] / tag[j] times pivot column p summed over its relation, so
-    that is row p's entry at j, an int where integral. Inputs are not
-    modified.
+    dict with 1 at its pivot column, in pivot order, and at each free
+    column j its coordinate at that pivot. Inputs are not modified.
     """
     pivots, relations = _echelon(columns)
     rows = {p: {p: 1} for p in pivots}
     for j, tag in relations.items():
-        for p, x in tag.items():
-            if p != j:
-                rows[p][j] = _exact(Fraction(-x, tag[j]))
+        for p, x in _coordinates(tag, j).items():
+            rows[p][j] = x
     return [rows[p] for p in pivots], pivots
+
+
+def solve(columns, targets):
+    """Coordinates {pivot column: value} of each of the sparse targets
+    over the sparse columns (two lists), read off its relation in one
+    echelon of the columns followed by the targets. The list stops before
+    the first target outside the columns' span; a caller checks its length."""
+    out, relations = [], _echelon(columns + targets)[1]
+    while (j := len(columns) + len(out)) in relations:
+        out.append(_coordinates(relations[j], j))
+    return out
 
 
 def nullspace(columns):

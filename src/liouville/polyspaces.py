@@ -5,8 +5,8 @@ otherwise (`linalg._exact`), so integer data stays on int arithmetic;
 the two print and compare alike.
 
 Monomials are exponent tuples ordered graded-lexicographically, giving
-every space S^d a canonical basis. The quadratic form q, the q-Laplacian
-and harmonic dimensions live here.
+every space S^d a canonical basis. The quadratic form q (its inverse is
+one linalg.solve), the q-Laplacian and harmonic dimensions live here.
 """
 
 from functools import cached_property
@@ -50,12 +50,6 @@ class Poly:
     @classmethod
     def monomial(cls, n, exponents):
         return cls(n, sum(exponents), {tuple(exponents): 1})
-
-    @classmethod
-    def variable(cls, n, i):
-        e = [0] * n
-        e[i] = 1
-        return cls.monomial(n, e)
 
     def is_zero(self):
         return not self.coeffs
@@ -180,13 +174,14 @@ class QuadraticForm:
 
 
 def _invert(mat):
-    """A^{-1} read off the reduced echelon form of the columns of [A | I]."""
+    """A^{-1}: its column j is the coordinates of e_j over A's columns, by
+    one linalg.solve; fewer than n of them means A is degenerate."""
     n = len(mat)
     cols = [{i: row[j] for i, row in enumerate(mat)} for j in range(n)]
-    red, pivots = linalg.rref(cols + [{j: 1} for j in range(n)])
-    if pivots[:n] != list(range(n)):
+    inv = linalg.solve(cols, [{j: 1} for j in range(n)])
+    if len(inv) < n:
         raise ValueError("quadratic form is degenerate")
-    return [[row.get(n + j, 0) for j in range(n)] for row in red]
+    return [[c.get(i, 0) for c in inv] for i in range(n)]
 
 
 def laplacian_q(f, q):

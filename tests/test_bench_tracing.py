@@ -62,10 +62,9 @@ def test_killing_kernel_traces_one_nullspace():
 
 def test_every_rref_caller_passes_int_keyed_columns():
     # the traced rref stat indexes rows[0] and reads every key as a
-    # number, so a caller that passes a generator or keeps the term keys
-    # of its vectors fails here; _solve runs once, _invert once.
-    # so_np2_isomorphism solves only on a closure failure, so the
-    # structure-constant table of the field side drives _solve here
+    # number; nothing in src/ calls rref any more: the structure-constant
+    # table (_solve) and a form's inverse (_invert) read their
+    # coordinates off linalg.solve, which the trace does not wrap
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
     from liouville import killing
@@ -74,7 +73,7 @@ def test_every_rref_caller_passes_int_keyed_columns():
     with tracer.installed():
         killing.structure_constants(killing.named_conformal_basis(3))
         QuadraticForm([[2, 1], [1, 3]]).inverse
-    assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 2
+    assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 0
 
 
 @pytest.mark.parametrize("n, calls", [(3, 33), (4, 66), (5, 115), (6, 183)])

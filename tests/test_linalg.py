@@ -1,10 +1,12 @@
-"""linalg against sympy's exact rational linear algebra (test-only oracle)."""
+"""linalg against sympy's exact rational linear algebra (test-only oracle),
+and solve's coordinates recombined to their targets."""
 
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from liouville import linalg
 
@@ -118,10 +120,64 @@ def test_value_types_do_not_change_results():
                     linalg.nullspace(copy)) == expected
 
 
+@st.composite
+def solve_cases(draw):
+    """Sparse int or Fraction columns on m rows, some of them combinations
+    of the ones before, with zero entries kept; targets that combine them,
+    and at a random position (or nowhere) one that also has a 1 at row m,
+    which no column touches."""
+    value = st.one_of(st.integers(-3, 3), st.builds(
+        Fraction, st.integers(-3, 3), st.integers(1, 4)))
+    m = draw(st.integers(1, 5))
+
+    def combination(vectors):
+        acc = dict.fromkeys(range(m), 0)
+        for v in vectors:
+            c = draw(value)
+            for i, x in v.items():
+                acc[i] += c * x
+        return {i: x for i, x in acc.items() if x or draw(st.booleans())}
+
+    columns = []
+    for _ in range(draw(st.integers(0, 5))):
+        if columns and draw(st.booleans()):
+            columns.append(combination(columns))
+        else:
+            columns.append(draw(st.dictionaries(
+                st.integers(0, m - 1), value, max_size=m)))
+    targets = [combination(columns) for _ in range(draw(st.integers(0, 4)))]
+    outside = draw(st.integers(0, len(targets)))
+    if draw(st.booleans()):
+        targets.insert(outside, {**combination(columns), m: 1})
+    else:
+        outside = len(targets)
+    return columns, targets, outside
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(solve_cases())
+def test_solve_recombines_each_target_up_to_the_first_outside(case):
+    columns, targets, outside = case
+    coords = linalg.solve(columns, targets)
+    assert len(coords) == outside
+    for c, target in zip(coords, targets):
+        acc = {}
+        for p, x in c.items():
+            for i, y in columns[p].items():
+                acc[i] = acc.get(i, 0) + x * y
+        assert ({i: x for i, x in acc.items() if x}
+                == {i: x for i, x in target.items() if x})
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for x in c.values())
+
+
 def test_empty_matrices():
     assert linalg.rank([]) == 0
     assert linalg.rank_sparse([]) == 0
     assert linalg.rref([]) == ([], [])
+    # the zero vector lies in the span of no columns, a unit vector not
+    assert linalg.solve([], []) == []
+    assert linalg.solve([], [{}, {0: 1}, {}]) == [{}]
     assert linalg.nullspace([]) == []
     # columns with no entries: the kernel is everything
     assert _dense(linalg.nullspace([{}, {}]), 2) == [[1, 0], [0, 1]]
@@ -136,4 +192,5 @@ def test_inputs_are_not_modified():
     linalg.rref(cols)
     linalg.rank_sparse(cols)
     linalg.nullspace(cols)
+    linalg.solve(cols, cols)
     assert (rows, cols) == before

@@ -5,7 +5,9 @@ src/liouville. A fixed list of commands then runs in one `python -O`
 subprocess, so a check that is an assert would be stripped. Every command
 whose stdout the mutant changes must exit 2, and at least one must
 change: a mutant that no command notices tests no check. A row is added
-with each check that closes an escape; `bott` and `sheaf` have none yet.
+with each check that closes an escape. Two known escapes have no row:
+`sheaf` at a twist b other than +-1, which nothing checks, and `bott`,
+whose degree + 1 only `selftest` catches, so `bott` runs no command here.
 """
 
 import json
@@ -26,6 +28,11 @@ COMMANDS = [
     ["killing", "--n", "3", "--d", "2"],
     ["ydq", "--n", "5", "--d", "3"],
     ["ydq", "--n", "5", "--d", "10"],
+    ["cech", "--n", "3", "--box", "1"],
+    ["cech", "--n", "4", "--box", "0"],
+    ["sheaf", "--n", "4", "--d", "3", "--b", "1"],
+    ["sheaf", "--n", "4", "--d", "2", "--b", "-1"],
+    ["sheaf", "--n", "5", "--d", "0", "--b", "1"],
     ["selftest"],
 ]
 
@@ -59,6 +66,14 @@ MUTANTS = [
      "    return d\n", "    return d + (lam[0] == 3)\n"),
     ("les-h1-plus-one", "bott.py",
      "return {1: outer - inner}", "return {1: outer - inner + 1}"),
+    # the so(n+2) closure fails in selftest, which names the pair that
+    # left the graph's span by linalg.solve
+    ("k-image-halved", "killing.py", "x_ab(v, i, 2)", "x_ab(v, i, 1)"),
+    ("bracket-negated", "killing.py",
+     "w = sign * e[j] * c", "w = -sign * e[j] * c"),
+    ("cech-sign-dropped", "cech.py", "(-1) ** J.index(k)", "1"),
+    # the twist enters the last weight slot with the wrong sign
+    ("sdg-weight-plus-b", "bott.py", "(-d, -b)", "(-d, b)"),
 ]
 
 

@@ -23,14 +23,15 @@ def test_quadratic_form_rejects_degenerate_and_asymmetric():
 
 class TestLazyInverse:
     def test_standard_form_runs_no_rref(self, monkeypatch):
+        # the inverse is one linalg.solve, run on first use only
         calls = []
-        rref = linalg.rref
+        solve = linalg.solve
 
-        def counted(rows):
-            calls.append(rows)
-            return rref(rows)
+        def counted(columns, targets):
+            calls.append(columns)
+            return solve(columns, targets)
 
-        monkeypatch.setattr(linalg, "rref", counted)
+        monkeypatch.setattr(linalg, "solve", counted)
         q = QuadraticForm.standard(5)
         assert calls == []
         assert q.inverse == q.matrix
@@ -80,7 +81,7 @@ class TestMultByQ:
 
     def test_linear(self):
         q = QuadraticForm.standard(2)
-        z1 = Poly.variable(2, 0)
+        z1 = Poly.monomial(2, (1, 0))
         assert q.as_poly() * z1 == Poly(2, 3, {(3, 0): 1, (1, 2): 1})
 
     def test_injective_on_all_degrees(self):

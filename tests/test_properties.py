@@ -161,8 +161,8 @@ def test_extremal_projector_matches_casimir_steps(F):
     P = ym.project_isotypic(F)
     assert P == project_by_e_ops(F)
     raised = Poly(F.n, F.degree)
-    for i in range(n):
-        raised = raised + Poly.variable(F.n, i) * P.diff(n + i)
+    for i, e in enumerate(monomials(F.n, 1)[:n]):
+        raised = raised + Poly.monomial(F.n, e) * P.diff(n + i)
     assert raised.is_zero()
 
 
@@ -205,8 +205,8 @@ def test_y_dq_closed_form(case):
     alone."""
     f, q = case
     n, d = f.n, f.degree
-    x = [Poly.variable(2 * n, i) for i in range(n)]
-    y = [Poly.variable(2 * n, n + i) for i in range(n)]
+    xy = [Poly.monomial(2 * n, e) for e in monomials(2 * n, 1)]
+    x, y = xy[:n], xy[n:]
     B = Poly(2 * n, 2)
     for i in range(n):
         for j in range(n):
@@ -463,8 +463,8 @@ def test_bracket_is_a_lie_bracket(case):
 
 
 def test_bracket_rejects_fields_on_different_spaces():
-    xi = PolyVectorField([Poly.variable(3, k) for k in range(3)])
-    eta = PolyVectorField([Poly.variable(4, k) for k in range(4)])
+    xi = PolyVectorField([Poly.monomial(3, e) for e in monomials(3, 1)])
+    eta = PolyVectorField([Poly.monomial(4, e) for e in monomials(4, 1)])
     for a, b in ((xi, eta), (eta, xi)):
         with pytest.raises(ValueError):
             bracket(a, b)

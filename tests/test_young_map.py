@@ -143,7 +143,7 @@ class TestYdq:
     def test_rejects_low_degree(self):
         q = QuadraticForm.standard(3)
         with pytest.raises(ValueError):
-            ym.y_dq(Poly.variable(3, 0), q)
+            ym.y_dq(Poly.monomial(3, (1, 0, 0)), q)
 
     def test_injective_n_ge_3(self):
         for n, dmax in ((3, 5), (4, 4), (5, 2)):
