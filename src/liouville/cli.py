@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 integrity-check failure. Each
 answer is checked where it is computed: y_dq's (ker, coker) in
 `young_map.kernel_cokernel_dims`, the Killing kernel's dimension in
 `killing.ck_kernel`, and the answers of `bott`, `cech` and `reconf` in
-their own modules. The commands add only `ydq --oracle` and
-`selftest`'s own checks.
+their own modules. The commands add only `ydq --oracle`, `killing`'s
+check of the named generators it prints and `selftest`'s own checks.
 """
 
 import argparse
@@ -136,8 +136,10 @@ def cmd_killing(args):
                            (n + 2) * (n + 1) // 2))
     payload = {"n": n, "d": d, "dim": len(killing.ck_kernel(n, d))}
     if d <= 2:
-        payload["generators"] = killing.basis_to_json(
-            killing.named_generators(n, d))
+        gens = killing.named_generators(n, d)
+        if d:  # every constant field is conformal Killing
+            killing._check_conformal(n, gens)
+        payload["generators"] = killing.basis_to_json(gens)
     return payload, {}
 
 

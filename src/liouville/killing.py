@@ -10,12 +10,15 @@ kernel carries the usual conformal algebra: two exact ranks over the
 graph {(x, phi x)} of phi, the map of the named basis to its images in
 so(n+2) (q split-extended to C^{n+2}), show from the brackets of P_1..P_n
 and K_1 that it is closed, and one rank that phi is onto. Both sides
-touch only nonzero terms: each field is built from its terms, the
-bracket is accumulated into one dict and returned as its terms
-{(component, exponents): coeff}, each image is built as its nonzero
-entries {(i, j): x} and commutators are taken on those. One linalg.solve
-of brackets over the basis reads structure constants, or names the pair
-that fails closure. Values are ints wherever they are integral.
+touch only nonzero terms. Inside this module a field is its terms
+{(component, exponents): coeff}: the named generators are built as terms,
+the bracket and CK take terms and the bracket returns them, and the JSON
+is written from them; `PolyVectorField` is only the form in which
+ck_kernel returns fields and ck_operator takes one. Each image is built
+as its nonzero entries {(i, j): x} and commutators are taken on those.
+One linalg.solve of brackets over the basis reads structure constants,
+or names the pair that fails closure. Values are ints wherever they are
+integral.
 """
 
 from fractions import Fraction
@@ -30,7 +33,8 @@ from .young_map import _polarize, bipoly_basis
 
 
 class PolyVectorField:
-    """n polynomial components, each homogeneous of the same degree."""
+    """n polynomial components, each homogeneous of the same degree: the
+    form in which ck_kernel returns fields and ck_operator takes one."""
 
     def __init__(self, components):
         comps = list(components)
@@ -85,19 +89,26 @@ def ck_operator(xi, q=None):
     """
     n = xi.n
     form = _ck_form(n, q if q is not None else QuadraticForm.standard(n))
-    return Poly(2 * n, xi.degree + 1, {k: Fraction(v, form[0] * n)
-                                       for k, v in _ck_sum(xi, form).items()})
+    den_n = form[0] * n
+    return Poly(2 * n, xi.degree + 1, {k: Fraction(v, den_n) for k, v in
+                                       _ck_sum(_terms(xi), form).items()})
 
 
-def _ck_sum(xi, form):
-    """den n CK(xi) as its nonzero terms, for form = _ck_form(n, q): one
-    form serves every field of a check."""
+def _terms(field):
+    """A PolyVectorField's terms {(component, exponents): coeff}."""
+    return {(c, e): v for c, comp in enumerate(field.components)
+            for e, v in comp.coeffs.items()}
+
+
+def _ck_sum(terms, form):
+    """den n CK of the field of terms {(component, exponents): coeff}, as
+    its nonzero terms, for form = _ck_form(n, q): one form serves every
+    field of a check."""
     _, rows, qy = form
     out = {}
-    for c, comp in enumerate(xi.components):
-        for e, a in comp.coeffs.items():
-            for k, v in _ck_term(c, e, rows[c], qy).items():
-                out[k] = out.get(k, 0) + a * v
+    for (c, e), a in terms.items():
+        for k, v in _ck_term(c, e, rows[c], qy).items():
+            out[k] = out.get(k, 0) + a * v
     return {k: v for k, v in out.items() if v}
 
 
@@ -136,28 +147,30 @@ def ck_kernel(n, d, q=None):
 
 
 def bracket(xi, eta):
-    """Lie bracket of vector fields, as its nonzero terms
-    {(component, exponents): coeff}, ints where integral.
+    """Lie bracket of vector fields given as their terms
+    {(component, exponents): coeff}, as its nonzero terms, ints where
+    integral. Raises ValueError on fields in different numbers of
+    variables.
 
     [xi, eta]_m = sum_j xi_j d_j eta_m - eta_j d_j xi_m: each term of
-    eta_m with e_j > 0 meets each term of a nonzero xi_j, and the same the
-    other way round, straight into one dict.
+    eta_m with e_j > 0 meets each term of xi_j, and the same the other way
+    round, straight into one dict.
     """
-    if eta.n != xi.n:
+    if len({len(e) for _, e in (*xi, *eta)}) > 1:
         raise ValueError("variable-count mismatch")
     acc = {}
     for f, g, sign in ((xi, eta, 1), (eta, xi, -1)):
-        f_terms = [(j, p.coeffs.items())
-                   for j, p in enumerate(f.components) if p.coeffs]
-        for m, g_m in enumerate(g.components):
-            for e, c in g_m.coeffs.items():
-                for j, f_j in f_terms:
-                    if e[j]:
-                        de = e[:j] + (e[j] - 1,) + e[j + 1:]
-                        w = sign * e[j] * c
-                        for e1, c1 in f_j:
-                            k = m, tuple(map(add, e1, de))
-                            acc[k] = acc.get(k, 0) + w * c1
+        by_component = {}
+        for (j, e1), c1 in f.items():
+            by_component.setdefault(j, []).append((e1, c1))
+        for (m, e), c in g.items():
+            for j, f_j in by_component.items():
+                if e[j]:
+                    de = e[:j] + (e[j] - 1,) + e[j + 1:]
+                    w = sign * e[j] * c
+                    for e1, c1 in f_j:
+                        k = m, tuple(map(add, e1, de))
+                        acc[k] = acc.get(k, 0) + w * c1
     return {k: _exact(v) for k, v in acc.items() if v}
 
 
@@ -166,26 +179,28 @@ def bracket(xi, eta):
 # ---------------------------------------------------------------------------
 
 def named_generators(n, d):
-    """The named conformal generators of degree d (standard q), built
-    from their terms: the translations P_i at 0, the rotations R_ij and
-    dilation D at 1, the special conformal K_i = 2 x_i x_m in component
-    m != i and x_i^2 - sum_{k != i} x_k^2 in component i at 2, none above."""
+    """The named conformal generators of degree d (standard q), as pairs
+    (name, terms {(component, exponents): coeff}): the translations P_i at
+    0, the rotations R_ij and dilation D at 1, the special conformal
+    K_i = 2 x_i x_m in component m != i and x_i^2 - sum_{k != i} x_k^2 in
+    component i at 2, none above. Unchecked: `_check_conformal` is their
+    check."""
     if d == 0:
-        return [(f"P{i+1}", _field(n, {(i, (0,) * n): 1})) for i in range(n)]
+        return [(f"P{i+1}", {(i, (0,) * n): 1}) for i in range(n)]
     if d > 2:
         return []
     e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     if d == 1:
-        return [(f"R{i+1}{j+1}", _field(n, {(j, e[i]): 1, (i, e[j]): -1}))
+        return [(f"R{i+1}{j+1}", {(j, e[i]): 1, (i, e[j]): -1})
                 for i, j in combinations(range(n), 2)] + [
-            ("D", _field(n, {(k, e[k]): 1 for k in range(n)}))]
+            ("D", {(k, e[k]): 1 for k in range(n)})]
     out = []
     for i in range(n):
         terms = {(m, tuple(map(add, e[i], e[m]))): 2 - (m == i)
                  for m in range(n)}
         terms.update(((i, tuple(map(add, e[k], e[k]))), -1)
                      for k in range(n) if k != i)
-        out.append((f"K{i+1}", _field(n, terms)))
+        out.append((f"K{i+1}", terms))
     return out
 
 
@@ -194,28 +209,13 @@ def named_conformal_basis(n):
     return [g for d in range(3) for g in named_generators(n, d)]
 
 
-def _terms(field):
-    """A field's coordinates: its terms {(component, exponents): coeff}."""
-    return {(c, e): v for c, comp in enumerate(field.components)
-            for e, v in comp.coeffs.items()}
-
-
-def _field(n, terms):
-    """The field of terms {(component, exponents): coeff}."""
-    comps = [{} for _ in range(n)]
-    for (c, e), v in terms.items():
-        comps[c][e] = v
-    d = sum(next(iter(terms))[1]) if terms else 0
-    return PolyVectorField([Poly(n, d, comp) for comp in comps])
-
-
 def structure_constants(named_basis):
     """Exact structure constants {(a, b): {c: coeff}}, over basis indices
     a < b, of the conformal basis under the bracket."""
     names, fields = zip(*named_basis)
-    return _solve([_terms(f) for f in fields],
-                  {(a, b): bracket(fields[a], fields[b])
-                   for a, b in combinations(range(len(fields)), 2)}, names)
+    return _solve(fields, {(a, b): bracket(fields[a], fields[b])
+                           for a, b in combinations(range(len(fields)), 2)},
+                  names)
 
 
 def _solve(basis, products, names):
@@ -297,6 +297,15 @@ def check_jacobi(constants, dim):
     return True, None
 
 
+def _check_conformal(n, named_fields):
+    """Raise ArithmeticError unless each named field on C^n (terms) is
+    nonzero and conformal Killing for the standard form."""
+    form = _ck_form(n, QuadraticForm.standard(n))
+    for name, terms in named_fields:
+        if not terms or _ck_sum(terms, form):
+            raise ArithmeticError(f"{name} is not conformal Killing, or is 0")
+
+
 def _generators(names):
     """Indices of P_1..P_n and K_1, which generate so(n+2)."""
     return [a for a, g in enumerate(names) if g[0] == "P" or g == "K1"]
@@ -330,22 +339,17 @@ def so_np2_isomorphism(n):
     if n < 3:
         raise ValueError("the identification is stated for n >= 3")
     basis = named_conformal_basis(n)
+    _check_conformal(n, basis)
     names, fields = zip(*basis)
-    form = _ck_form(n, QuadraticForm.standard(n))
-    terms = [_terms(f) for f in fields]
-    for name, f, t in zip(names, fields, terms):
-        if not t or _ck_sum(f, form):
-            raise ArithmeticError(f"{name} is not conformal Killing, or is 0")
     images = [m for _, m in conformal_to_so_matrices(n)]
     dim, rank = (n + 2) * (n + 1) // 2, linalg.rank_sparse(images)
     if not len(basis) == rank == dim:
         raise ArithmeticError(f"the so({n + 2}) images of {len(basis)} "
                               f"generators have rank {rank}, not {dim}")
-    pairs = list(zip(fields, images, strict=True))
-    graph = list(zip(terms, images))
+    graph = list(zip(fields, images, strict=True))
     lie = lambda x, y: (bracket(x[0], y[0]), _comm(x[1], y[1]))
     gens, k1, index = _generators(names), names.index("K1"), {}
-    brackets = {(a, b): lie(pairs[a], pairs[b]) for a, b in
+    brackets = {(a, b): lie(graph[a], graph[b]) for a, b in
                 combinations(range(dim), 2) if a in gens or b in gens}
     span = lambda vs: linalg.rank_sparse([
         {index.setdefault(k, len(index)): x for k, x in (t | m).items()}
@@ -354,8 +358,8 @@ def so_np2_isomorphism(n):
         _solve([t | m for t, m in graph],  # raises, naming a pair outside G
                {k: t | m for k, (t, m) in brackets.items()}, names)
     pk = [brackets[p, k1] for p in gens if p != k1]  # [P_i, K_1]
-    w = [(_field(n, t), m) for t, m in pk[1:]]  # i >= 2, field and image
-    if span([graph[s] for s in gens] + pk + [lie(pairs[k1], x) for x in w]
+    w = pk[1:]  # i >= 2
+    if span([graph[s] for s in gens] + pk + [lie(graph[k1], x) for x in w]
             + [lie(x, y) for x, y in combinations(w, 2)]) != dim:
         raise ArithmeticError("P and K do not generate the graph")
     return {"n": n, "dimension": dim, "generators": list(names),
@@ -363,7 +367,15 @@ def so_np2_isomorphism(n):
 
 
 def basis_to_json(named_basis):
-    return [
-        {"name": name, "components": [c.to_json() for c in f.components]}
-        for name, f in named_basis
-    ]
+    """Each named field's terms as its components on C^n (n read off the
+    exponents), each a list of {"exponents", "coeff"} in descending
+    exponent order."""
+    out = []
+    for name, terms in named_basis:
+        comps = [[] for _ in range(max((len(e) for _, e in terms),
+                                       default=0))]
+        for c, e in sorted(terms, key=lambda k: k[1], reverse=True):
+            comps[c].append({"exponents": list(e),
+                             "coeff": str(terms[c, e])})
+        out.append({"name": name, "components": comps})
+    return out

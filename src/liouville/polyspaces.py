@@ -5,8 +5,12 @@ otherwise (`linalg._exact`), so integer data stays on int arithmetic;
 the two print and compare alike.
 
 Monomials are exponent tuples ordered graded-lexicographically, giving
-every space S^d a canonical basis. The quadratic form q (its inverse is
-one linalg.solve), the q-Laplacian and harmonic dimensions live here.
+every space S^d a canonical basis. The engine's operators act on plain
+{exponents: coeff} dicts and build int columns; `Poly` wraps such a dict
+only where a polynomial enters or leaves the API (y_dq, the projector,
+kernels), so it has no arithmetic of its own. The quadratic form q, the
+q-Laplacian's int columns (q^{-1} is one linalg.solve) and harmonic
+dimensions live here.
 """
 
 from functools import cached_property
@@ -54,47 +58,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Poly(self.n, self.degree, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = _exact(c)
-        out = Poly(self.n, self.degree)
-        if c:
-            out.coeffs = {e: _exact(v * c) for e, v in self.coeffs.items()}
-        return out
-
-    def __mul__(self, other):
-        if self.n != other.n:
-            raise ValueError("variable-count mismatch")
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Poly(self.n, self.degree + other.degree, out)
-
-    def diff(self, i):
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = c * e[i]
-        return Poly(self.n, max(self.degree - 1, 0), out)
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -109,18 +72,6 @@ class Poly:
         for e in sorted(self.coeffs, reverse=True):
             terms.append(f"{self.coeffs[e]}*z^{e}")
         return " + ".join(terms)
-
-    def to_json(self):
-        return [
-            {"exponents": list(e), "coeff": str(self.coeffs[e])}
-            for e in sorted(self.coeffs, reverse=True)
-        ]
-
-    def _check(self, other):
-        if self.n != other.n or (
-            self.coeffs and other.coeffs and self.degree != other.degree
-        ):
-            raise ValueError("incompatible polynomials")
 
 
 class QuadraticForm:
@@ -144,11 +95,6 @@ class QuadraticForm:
     def standard(cls, n):
         """Sum of squares: the identity Gram matrix."""
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @cached_property
-    def inverse(self):
-        """A^{-1}, computed on first use: most forms never need it."""
-        return _invert(self.matrix)
 
     @cached_property
     def integer_entries(self):
@@ -184,32 +130,30 @@ def _invert(mat):
     return [[c.get(i, 0) for c in inv] for i in range(n)]
 
 
-def laplacian_q(f, q):
-    """Delta_q f = sum_{i,j} q^{ij} d_i d_j f."""
-    if f.n != q.n:
-        raise ValueError("variable-count mismatch")
-    n = f.n
-    out = Poly(n, max(f.degree - 2, 0))
-    qinv = q.inverse
-    for i in range(n):
-        fi = f.diff(i)
-        if fi.is_zero():
-            continue
-        for j in range(n):
-            if qinv[i][j] == 0:
-                continue
-            out = out + fi.diff(j).scale(qinv[i][j])
-    return out
-
-
 def laplacian_columns(n, d, q):
-    """Sparse columns of Delta_q : S^d -> S^{d-2}."""
+    """Sparse int columns of den Delta_q : S^d -> S^{d-2}, den the lcm of
+    the denominators of q^{-1} (one _invert) and Delta_q x^e =
+    sum_{i,j} q^{ij} d_i d_j x^e: each entry den q^{kl}, k <= l, takes
+    x^e to e_k (e_l - [k = l]) x^(e - 1_k - 1_l), twice when k != l."""
+    if q.n != n:
+        raise ValueError("variable-count mismatch")
+    inv = _invert(q.matrix)
+    den = lcm(*(a.denominator for row in inv for a in row))
+    entries = [(k, l, (2 - (k == l)) * a.numerator * (den // a.denominator))
+               for k, row in enumerate(inv) for l, a in enumerate(row[k:], k)
+               if a]
     src = monomials(n, d)
     dst = {e: i for i, e in enumerate(monomials(n, max(d - 2, 0)))}
     cols = []
     for e in src:
-        img = laplacian_q(Poly.monomial(n, e), q)
-        cols.append({dst[k]: c for k, c in img.coeffs.items()})
+        col = {}  # each pair k <= l lowers e to its own row
+        for k, l, a in entries:
+            if w := e[k] * (e[l] - (k == l)):
+                m = list(e)
+                m[k] -= 1
+                m[l] -= 1
+                col[dst[tuple(m)]] = w * a
+        cols.append(col)
     return cols, src
 
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 from liouville import bott, cech, killing, reconf, young_map
-from liouville.polyspaces import Poly, QuadraticForm, laplacian_q, monomials
+from liouville.polyspaces import Poly, QuadraticForm, monomials
+from polyref import ref_laplacian
 from liouville.weights import pad, weyl_dim
 
 
@@ -187,7 +188,7 @@ def test_criterion_9_kernel_membership():
             ok = ok and len(kernel) == 2
             for f in kernel:
                 ok = ok and young_map.y_dq(f, q).is_zero()
-                ok = ok and laplacian_q(f, q).is_zero()
+                ok = ok and not ref_laplacian(f.coeffs, q)
     report(9, "200 random f (n = 3) are outside ker y_dq under two forms; "
               "every ker y_dq element (n = 2) is mapped to 0 and is "
               "q-harmonic", time.perf_counter() - t0, 60.0, ok)

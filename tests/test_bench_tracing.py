@@ -63,16 +63,17 @@ def test_killing_kernel_traces_one_nullspace():
 def test_every_rref_caller_passes_int_keyed_columns():
     # the traced rref stat indexes rows[0] and reads every key as a
     # number; nothing in src/ calls rref any more: the structure-constant
-    # table (_solve) and a form's inverse (_invert) read their
+    # table (_solve) and the inverse form the q-Laplacian's columns read
+    # (_invert, whose last caller is laplacian_columns) take their
     # coordinates off linalg.solve, which the trace does not wrap
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
-    from liouville import killing
-    from liouville.polyspaces import QuadraticForm
+    from liouville import killing, polyspaces
     tracer = tracing.Tracer()
     with tracer.installed():
         killing.structure_constants(killing.named_conformal_basis(3))
-        QuadraticForm([[2, 1], [1, 3]]).inverse
+        polyspaces.laplacian_columns(
+            2, 3, polyspaces.QuadraticForm([[2, 1], [1, 3]]))
     assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 0
 
 

@@ -249,9 +249,11 @@ class TestExitCodes:
         # twice y_dq has the ranks of y_dq, so only the projector oracle
         # inside the selftest can tell them apart
         from liouville import young_map
+        from liouville.polyspaces import Poly
         y_dq = young_map.y_dq
-        monkeypatch.setattr(young_map, "y_dq",
-                            lambda f, q: y_dq(f, q).scale(2))
+        monkeypatch.setattr(young_map, "y_dq", lambda f, q: Poly(
+            2 * f.n, f.degree + 2,
+            {k: 2 * c for k, c in y_dq(f, q).coeffs.items()}))
         code, _, err = run(capsys, "selftest")
         assert code == 2
         assert "y_dq(x^(2, 0)) at n=2, d=2 disagrees" in err
@@ -259,8 +261,10 @@ class TestExitCodes:
     def test_doubled_y_dq_fails_selftest_under_optimize(self):
         script = ("import sys\n"
                   "from liouville import cli, young_map\n"
+                  "from liouville.polyspaces import Poly\n"
                   "y_dq = young_map.y_dq\n"
-                  "young_map.y_dq = lambda f, q: y_dq(f, q).scale(2)\n"
+                  "young_map.y_dq = lambda f, q: Poly(2 * f.n, f.degree + 2,"
+                  " {k: 2 * c for k, c in y_dq(f, q).coeffs.items()})\n"
                   "sys.exit(cli.run(['selftest']))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=src_env(), capture_output=True, text=True,

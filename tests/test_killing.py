@@ -64,10 +64,8 @@ class TestCkOperator:
         assert all(sum(k[:n]) == 0 and sum(k[n:]) == 2 for k in t.coeffs)
 
     def test_special_conformal_fields(self):
-        n = 4
-        for _, f in killing.named_conformal_basis(n):
-            t = ck_operator(f)
-            assert t.is_zero()
+        # raises unless every named field is nonzero and conformal Killing
+        killing._check_conformal(4, killing.named_conformal_basis(4))
 
 
 class TestCkKernel:
@@ -109,6 +107,17 @@ class TestBracket:
         basis = dict(killing.named_conformal_basis(n))
         br = bracket(basis["P1"], basis["K1"])
         assert br and all(sum(e) == 1 for _, e in br)
+
+    def test_named_generators_are_terms(self):
+        # (name, {(component, exponents): coeff}), all ints, at n = 2..5
+        for n in range(2, 6):
+            for d, count in enumerate((n, n * (n - 1) // 2 + 1, n, 0)):
+                named = killing.named_generators(n, d)
+                assert len(named) == count
+                for _, terms in named:
+                    assert all(0 <= c < n and len(e) == n and sum(e) == d
+                               and type(v) is int and v
+                               for (c, e), v in terms.items())
 
     def test_p_k_contains_dilation(self):
         n = 3
@@ -155,13 +164,11 @@ class TestBracket:
         fields = []
         for d in range(3):
             fields.extend(ck_kernel(n, d))
+        form = killing._ck_form(n, QuadraticForm.standard(n))
         for a in fields[:5]:
             for b in fields[-5:]:
-                br = bracket(a, b)
-                if not br:
-                    continue
-                t = ck_operator(killing._field(n, br))
-                assert t.is_zero()
+                br = bracket(killing._terms(a), killing._terms(b))
+                assert killing._ck_sum(br, form) == {}
 
 
 class TestSoNp2:
@@ -196,13 +203,12 @@ class TestSoNp2:
     def change_pair(monkeypatch, a, b, change):
         """Route the field bracket [a, b] at n = 3 through change."""
         named = dict(killing.named_conformal_basis(3))
-        pair = killing._terms(named[a]), killing._terms(named[b])
+        pair = named[a], named[b]
         real = killing.bracket
 
         def patched(xi, eta):
             out = real(xi, eta)
-            hit = (killing._terms(xi), killing._terms(eta)) == pair
-            return change(out, named) if hit else out
+            return change(out, named) if (xi, eta) == pair else out
 
         monkeypatch.setattr(killing, "bracket", patched)
 
@@ -210,7 +216,7 @@ class TestSoNp2:
         # [P1, K1] = 2 D + ... on the field side, now 3 D + ...: the graph
         # vector of that pair leaves the span, though the images are right
         def plus_d(out, named):
-            for k, v in killing._terms(named["D"]).items():
+            for k, v in named["D"].items():
                 out[k] = out.get(k, 0) + v
             return out
 
@@ -277,8 +283,7 @@ class TestSoNp2:
         # generator loses none of these to the certificate
         basis = killing.named_conformal_basis(n)
         images = killing.conformal_to_so_matrices(n)
-        field = lambda f, c: PolyVectorField([p.scale(c)
-                                              for p in f.components])
+        field = lambda f, c: {k: c * x for k, x in f.items()}
         image = lambda m, c: {k: c * x for k, x in m.items()}
         at = lambda seq, a, x: seq[:a] + [(seq[a][0], x)] + seq[a + 1:]
         cases = [case for a in range(len(basis)) for c in (2, -1)
@@ -299,8 +304,7 @@ class TestSoNp2:
         # rank check, so each field must be nonzero
         real = killing.named_conformal_basis
         monkeypatch.setattr(killing, "named_conformal_basis", lambda n: [
-            (g, PolyVectorField([Poly(n, f.degree) for _ in range(n)]))
-            for g, f in real(n)])
+            (g, {}) for g, _ in real(n)])
         with pytest.raises(ArithmeticError,
                            match="P1 is not conformal Killing, or is 0"):
             killing.so_np2_isomorphism(3)
@@ -348,10 +352,8 @@ class TestSoNp2:
 
         def patched(n):
             basis = real(n)
-            x1 = Poly.monomial(n, (1,) + (0,) * (n - 1))
             # x1^2 d/dx1 in place of the last special conformal field
-            basis[-1] = (basis[-1][0], PolyVectorField(
-                [x1 * x1] + [Poly(n, 2) for _ in range(n - 1)]))
+            basis[-1] = (basis[-1][0], {(0, (2,) + (0,) * (n - 1)): 1})
             return basis
 
         monkeypatch.setattr(killing, "named_conformal_basis", patched)

@@ -25,6 +25,7 @@ COMMANDS = [
     ["reconf", "--n", "5", "--dmax", "10"],
     ["continuity", "--n-range", "2,3", "--dmax", "4"],
     ["killing", "--n", "2", "--d", "2"],
+    ["killing", "--n", "3", "--d", "1"],
     ["killing", "--n", "3", "--d", "2"],
     ["ydq", "--n", "5", "--d", "3"],
     ["ydq", "--n", "5", "--d", "10"],
@@ -74,6 +75,13 @@ MUTANTS = [
     ("cech-sign-dropped", "cech.py", "(-1) ** J.index(k)", "1"),
     # the twist enters the last weight slot with the wrong sign
     ("sdg-weight-plus-b", "bott.py", "(-d, -b)", "(-d, b)"),
+    # the named generators `killing` prints at d = 1, 2, which it checks
+    # to be nonzero and conformal Killing before it prints them
+    ("k-square-term-tripled", "killing.py",
+     "e[k]))), -1)", "e[k]))), -3)"),
+    ("d-first-term-dropped", "killing.py",
+     "(k, e[k]): 1 for k in range(n)}", "(k, e[k]): 1 for k in range(1, n)}"),
+    ("r-sign-flipped", "killing.py", "(i, e[j]): -1}", "(i, e[j]): 1}"),
 ]
 
 

@@ -1,8 +1,9 @@
 """Hypothesis properties of the Casimir, the projector against the
 Casimir steps, the integer y_dq columns, y_dq against its closed form and
 against the projector, the conformal Killing operator and its int
-columns, the Lie bracket, the Jacobi check, the int-or-Fraction
-coefficient representation and Cech slices."""
+columns, the integer q-Laplacian columns, the Lie bracket, the Jacobi
+check, the int-or-Fraction coefficient representation and Cech slices.
+The references run on the dict arithmetic of `polyref`."""
 
 from fractions import Fraction
 from math import lcm
@@ -11,9 +12,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from liouville import cech, killing, young_map as ym
-from liouville.killing import (PolyVectorField, _field, _terms, bracket,
+from liouville.killing import (PolyVectorField, basis_to_json, bracket,
                                ck_columns, ck_operator)
-from liouville.polyspaces import Poly, QuadraticForm, monomials
+from liouville.polyspaces import (Poly, QuadraticForm, laplacian_columns,
+                                  monomials)
+from polyref import (component, ref_add, ref_bracket, ref_diff,
+                     ref_inverse, ref_laplacian, ref_mul, ref_nonzero,
+                     ref_scale, ref_sub)
 
 small = st.integers(-3, 3).filter(bool)
 
@@ -30,11 +35,10 @@ def polys(draw, n, degree, max_terms=6):
         st.sampled_from(basis), small, max_size=max_terms)))
 
 
-def _e_op(F, i, j):
-    """E_ij F, where E_ij = x_i d/dx_j + y_i d/dy_j."""
-    n = F.n // 2
+def _e_op(F, n, i, j):
+    """E_ij F on {exponents: coeff}, where E_ij = x_i d/dx_j + y_i d/dy_j."""
     out = {}
-    for e, c in F.coeffs.items():
+    for e, c in F.items():
         for a, b in ((i, j), (n + i, n + j)):
             if e[b]:
                 e2 = list(e)
@@ -42,30 +46,30 @@ def _e_op(F, i, j):
                 e2[a] += 1
                 k = tuple(e2)
                 out[k] = out.get(k, 0) + c * e[b]
-    return Poly(F.n, F.degree, out)
+    return out
 
 
 def casimir_by_e_ops(F):
     """Reference Casimir: the n^2 operators E_ij E_ji, summed."""
     n = F.n // 2
-    out = Poly(F.n, F.degree)
+    out = {}
     for i in range(n):
         for j in range(n):
-            out = out + _e_op(_e_op(F, j, i), i, j)
-    return out
+            out = ref_add(out, _e_op(_e_op(F.coeffs, n, j, i), n, i, j))
+    return Poly(F.n, F.degree, out)
 
 
 @st.composite
 def bipolys(draw):
     """Zero, one bidegree (d, e) or a sum of two, in 2n variables."""
     n, total = draw(st.integers(2, 5)), draw(st.integers(0, 5))
-    F = Poly(2 * n, total)
+    F = {}
     for _ in range(draw(st.integers(0, 2))):
         d = draw(st.integers(0, total))
         basis = ym.bipoly_basis(n, d, total - d)
-        F = F + Poly(2 * n, total, draw(st.dictionaries(
+        F = ref_add(F, draw(st.dictionaries(
             st.sampled_from(basis), small, min_size=1, max_size=4)))
-    return F
+    return Poly(2 * n, total, F)
 
 
 @bounded(100)
@@ -123,8 +127,9 @@ def project_by_e_ops(F):
     c_target = ym.casimir_scalar((d, 2), n)
     for mu in ((d + 2,), (d + 1, 1)):
         c_mu = ym.casimir_scalar(mu, n)
-        F = (casimir_by_e_ops(F) - F.scale(c_mu)).scale(
-            Fraction(1, c_target - c_mu))
+        F = Poly(F.n, F.degree, ref_scale(
+            ref_sub(casimir_by_e_ops(F).coeffs, ref_scale(F.coeffs, c_mu)),
+            Fraction(1, c_target - c_mu)))
     return F
 
 
@@ -132,14 +137,14 @@ def y_dq_by_e_ops(e, q):
     """Reference y_dq(x^e, q): x^e q(y) from q's matrix, then the E_ij
     reference projection."""
     n, d = q.n, sum(e)
-    F = Poly(2 * n, d + 2)
+    F = {}
     for i in range(n):
         for j in range(n):
             ey = [0] * n
             ey[i] += 1
             ey[j] += 1
-            F = F + Poly(2 * n, d + 2, {e + tuple(ey): q.matrix[i][j]})
-    return project_by_e_ops(F)
+            F = ref_add(F, {e + tuple(ey): q.matrix[i][j]})
+    return project_by_e_ops(Poly(2 * n, d + 2, F))
 
 
 @st.composite
@@ -160,10 +165,10 @@ def test_extremal_projector_matches_casimir_steps(F):
     n = F.n // 2
     P = ym.project_isotypic(F)
     assert P == project_by_e_ops(F)
-    raised = Poly(F.n, F.degree)
+    raised = {}
     for i, e in enumerate(monomials(F.n, 1)[:n]):
-        raised = raised + Poly.monomial(F.n, e) * P.diff(n + i)
-    assert raised.is_zero()
+        raised = ref_add(raised, ref_mul({e: 1}, ref_diff(P.coeffs, n + i)))
+    assert not raised
 
 
 @bounded(15)
@@ -201,68 +206,75 @@ def forms_and_polys(draw, min_terms=1):
 @given(forms_and_polys())
 def test_y_dq_closed_form(case):
     """d(d+1) y_dq(f, q) = d(d-1) f q(y) - 2(d-1) (Lf) B(x, y) + (L^2 f) q(x),
-    B(x, y) = sum a_ij x_i y_j and L = sum y_i d/dx_i, by Poly arithmetic
-    alone."""
+    B(x, y) = sum a_ij x_i y_j and L = sum y_i d/dx_i, by the reference
+    dict arithmetic alone."""
     f, q = case
     n, d = f.n, f.degree
-    xy = [Poly.monomial(2 * n, e) for e in monomials(2 * n, 1)]
+    xy = [{e: 1} for e in monomials(2 * n, 1)]
     x, y = xy[:n], xy[n:]
-    B = Poly(2 * n, 2)
+    B = {}
     for i in range(n):
         for j in range(n):
-            B = B + (x[i] * y[j]).scale(q.matrix[i][j])
+            B = ref_add(B, ref_scale(ref_mul(x[i], y[j]), q.matrix[i][j]))
 
     def lower(g):
-        out = Poly(2 * n, g.degree)
+        out = {}
         for i in range(n):
-            out = out + y[i] * g.diff(i)
+            out = ref_add(out, ref_mul(y[i], ref_diff(g, i)))
         return out
 
     z = (0,) * n
     qp = q.as_poly().coeffs
-    fx = Poly(2 * n, d, {e + z: c for e, c in f.coeffs.items()})
-    qx = Poly(2 * n, 2, {e + z: c for e, c in qp.items()})
-    qy = Poly(2 * n, 2, {z + e: c for e, c in qp.items()})
+    fx = {e + z: c for e, c in f.coeffs.items()}
+    qx = {e + z: c for e, c in qp.items()}
+    qy = {z + e: c for e, c in qp.items()}
     Lf = lower(fx)
-    rhs = ((fx * qy).scale(d * (d - 1))
-           - (Lf * B).scale(2 * (d - 1))
-           + lower(Lf) * qx)
-    assert ym.y_dq(f, q).scale(d * (d + 1)) == rhs
-
+    rhs = ref_add(ref_sub(ref_scale(ref_mul(fx, qy), d * (d - 1)),
+                          ref_scale(ref_mul(Lf, B), 2 * (d - 1))),
+                  ref_mul(lower(Lf), qx))
+    assert ref_scale(ym.y_dq(f, q).coeffs, d * (d + 1)) == rhs
 
 
 @bounded(60)
 @given(forms_and_polys(min_terms=0))
 def test_y_dq_matches_extremal_projector(case):
     """The closed form y_dq runs is the generic projector on
-    F = f(x) q(y), F built by Poly arithmetic; the zero f included."""
+    F = f(x) q(y), F built by the reference dict arithmetic; the zero f
+    included."""
     f, q = case
     n, z = f.n, (0,) * f.n
-    fx = Poly(2 * n, f.degree, {e + z: c for e, c in f.coeffs.items()})
-    qy = Poly(2 * n, 2, {z + e: c for e, c in q.as_poly().coeffs.items()})
-    assert ym.y_dq(f, q) == ym.project_isotypic(fx * qy)
+    fx = {e + z: c for e, c in f.coeffs.items()}
+    qy = {z + e: c for e, c in q.as_poly().coeffs.items()}
+    F = Poly(2 * n, f.degree + 2, ref_mul(fx, qy))
+    assert ym.y_dq(f, q) == ym.project_isotypic(F)
+
 
 def divergence(xi):
-    out = Poly(xi.n, max(xi.degree - 1, 0))
+    out = {}
     for i in range(xi.n):
-        out = out + xi.components[i].diff(i)
+        out = ref_add(out, ref_diff(xi.components[i].coeffs, i))
     return out
 
 
 def ck_by_gradient(xi, q):
     """Reference CK: {(i, j): T_ij} over i <= j, the traceless symmetrized
-    gradient of xi with its index lowered by q, in Poly arithmetic."""
+    gradient of xi with its index lowered by q, in dict arithmetic."""
     n = xi.n
     flat = []
     for j in range(n):
-        acc = Poly(n, xi.degree)
+        acc = {}
         for k in range(n):
-            acc = acc + xi.components[k].scale(q.matrix[j][k])
+            acc = ref_add(acc, ref_scale(xi.components[k].coeffs,
+                                         q.matrix[j][k]))
         flat.append(acc)
     div = divergence(xi)
-    return {(i, j): flat[j].diff(i) + flat[i].diff(j)
-            - div.scale(Fraction(2, n) * q.matrix[i][j])
-            for i in range(n) for j in range(i, n)}
+    out = {}
+    for i in range(n):
+        for j in range(i, n):
+            sym = ref_add(ref_diff(flat[j], i), ref_diff(flat[i], j))
+            trace = ref_scale(div, Fraction(2, n) * q.matrix[i][j])
+            out[i, j] = ref_sub(sym, trace)
+    return out
 
 
 @st.composite
@@ -279,15 +291,14 @@ def test_ck_operator_matches_symmetrized_gradient(case):
     """CK(xi) = sum_ij T_ij y_i y_j: T_ii on y_i^2, 2 T_ij on y_i y_j."""
     xi, q = case
     n = xi.n
-    ref = Poly(2 * n, xi.degree + 1)
+    ref = {}
     for (i, j), t in ck_by_gradient(xi, q).items():
         ey = [0] * n
         ey[i] += 1
         ey[j] += 1
-        ref = ref + Poly(2 * n, xi.degree + 1, {
-            m + tuple(ey): c * (1 if i == j else 2)
-            for m, c in t.coeffs.items()})
-    assert ck_operator(xi, q) == ref
+        ref = ref_add(ref, {m + tuple(ey): c * (1 if i == j else 2)
+                            for m, c in t.items()})
+    assert ck_operator(xi, q).coeffs == ref
 
 
 @st.composite
@@ -339,8 +350,10 @@ def test_ck_commutes_with_derivatives(case):
     ck = ck_operator(xi, q)
     assert stored_exactly(ck.coeffs.values())
     for i in range(xi.n):
-        d_xi = PolyVectorField([comp.diff(i) for comp in xi.components])
-        assert ck_operator(d_xi, q) == ck.diff(i)
+        d_xi = PolyVectorField([Poly(xi.n, comp.degree - 1,
+                                     ref_diff(comp.coeffs, i))
+                                for comp in xi.components])
+        assert ck_operator(d_xi, q).coeffs == ref_diff(ck.coeffs, i)
 
 
 def jacobi_by_all_triples(constants, dim):
@@ -395,48 +408,32 @@ def test_check_jacobi_matches_all_triples(case):
         table, dim)
 
 
-def bracket_by_polys(xi, eta):
-    """Reference bracket in Poly arithmetic:
-    [xi, eta]_m = sum_j xi_j d_j eta_m - eta_j d_j xi_m."""
-    n = xi.n
-    deg = max(xi.degree + eta.degree - 1, 0)
-    comps = []
-    for m in range(n):
-        acc = Poly(n, deg)
-        for j in range(n):
-            acc = acc + xi.components[j] * eta.components[m].diff(j)
-            acc = acc - eta.components[j] * xi.components[m].diff(j)
-        comps.append(acc)
-    return PolyVectorField(comps)
-
-
 @st.composite
-def fraction_fields(draw, n):
-    """A field of degree 0..3 with Fraction coefficients; about one
-    component in four is zero."""
-    d = draw(st.integers(0, 3))
+def fraction_fields(draw, n, d):
+    """A degree-d field on C^n with Fraction coefficients, as its terms;
+    about one component in four is zero."""
     coeff = st.builds(Fraction, small, st.integers(1, 5))
     basis = monomials(n, d)
-    return PolyVectorField([
-        Poly(n, d, draw(st.dictionaries(st.sampled_from(basis), coeff,
-                                        min_size=1, max_size=3)))
-        if draw(st.integers(0, 3)) else Poly(n, d) for _ in range(n)])
+    return {(c, e): v for c in range(n) if draw(st.integers(0, 3))
+            for e, v in draw(st.dictionaries(st.sampled_from(basis), coeff,
+                                             min_size=1, max_size=3)).items()}
 
 
 @st.composite
 def field_pairs(draw):
-    n = draw(st.integers(2, 5))
-    return draw(fraction_fields(n)), draw(fraction_fields(n))
+    n, d1, d2 = draw(st.integers(2, 5)), draw(st.integers(0, 3)), draw(
+        st.integers(0, 3))
+    return n, d1 + d2 - 1, draw(fraction_fields(n, d1)), draw(
+        fraction_fields(n, d2))
 
 
 @bounded(80)
 @given(field_pairs())
 def test_bracket_matches_poly_arithmetic(case):
-    xi, eta = case
-    ref = _terms(bracket_by_polys(xi, eta))
+    n, d, xi, eta = case
+    ref = ref_bracket(xi, eta, n)
     br = bracket(xi, eta)
     assert br == ref
-    d = max(xi.degree + eta.degree - 1, 0)
     assert all(sum(e) == d for _, e in br)
     assert bracket(eta, xi) == {k: -v for k, v in ref.items()}
 
@@ -444,7 +441,8 @@ def test_bracket_matches_poly_arithmetic(case):
 @st.composite
 def field_triples(draw):
     n = draw(st.integers(1, 4))
-    return n, [draw(fraction_fields(n)) for _ in range(3)]
+    return [draw(fraction_fields(n, draw(st.integers(0, 3))))
+            for _ in range(3)]
 
 
 @bounded(60)
@@ -452,21 +450,21 @@ def field_triples(draw):
 def test_bracket_is_a_lie_bracket(case):
     """Antisymmetry and Jacobi in Vect, on which the so(n+2) certificate's
     normalizer argument rests."""
-    n, (a, b, c) = case
+    a, b, c = case
     assert bracket(a, a) == {}
     assert bracket(b, a) == {k: -v for k, v in bracket(a, b).items()}
     acc = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        for k, v in bracket(_field(n, bracket(x, y)), z).items():
+        for k, v in bracket(bracket(x, y), z).items():
             acc[k] = acc.get(k, 0) + v
     assert not any(acc.values())
 
 
 def test_bracket_rejects_fields_on_different_spaces():
-    xi = PolyVectorField([Poly.monomial(3, e) for e in monomials(3, 1)])
-    eta = PolyVectorField([Poly.monomial(4, e) for e in monomials(4, 1)])
+    xi = {(i, e): 1 for i, e in enumerate(monomials(3, 1))}
+    eta = {(i, e): 1 for i, e in enumerate(monomials(4, 1))}
     for a, b in ((xi, eta), (eta, xi)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variable-count mismatch"):
             bracket(a, b)
 
 
@@ -475,46 +473,6 @@ def stored_exactly(coeffs):
     denominator > 1."""
     return all(type(c) is (int if c.denominator == 1 else Fraction)
                for c in coeffs)
-
-
-def ref_nonzero(acc):
-    return {e: c for e, c in acc.items() if c}
-
-
-def ref_add(f, g):
-    out = dict(f)
-    for e, c in g.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return ref_nonzero(out)
-
-
-def ref_mul(f, g):
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return ref_nonzero(out)
-
-
-def ref_diff(f, i):
-    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-            for e, c in f.items() if e[i]}
-
-
-def ref_bracket(xi, eta):
-    """[xi, eta]_m = sum_j xi_j d_j eta_m - eta_j d_j xi_m, on Fraction
-    dicts."""
-    n = len(xi)
-    out = []
-    for m in range(n):
-        acc = {}
-        for j in range(n):
-            for a, b, sign in ((xi, eta, 1), (eta, xi, -1)):
-                for e, c in ref_mul(a[j], ref_diff(b[m], j)).items():
-                    acc[e] = acc.get(e, Fraction(0)) + sign * c
-        out.append(ref_nonzero(acc))
-    return out
 
 
 def ref_json(f):
@@ -528,49 +486,66 @@ mixed = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
 
 @st.composite
 def mixed_cases(draw):
-    """Fraction dicts f, g of degree d and h of degree dh, a scale, a
-    variable, two fields of degree d and a form."""
-    n, d, dh = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(
-        st.integers(0, 2))
+    """A Fraction dict f of degree d, a variable, two fields of degree d
+    (as terms) and a form."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 3))
 
     def raw(degree):
         return draw(st.dictionaries(st.sampled_from(monomials(n, degree)),
                                     mixed, max_size=5))
 
-    fields = [[raw(d) for _ in range(n)] for _ in range(2)]
+    fields = [ref_nonzero({(c, e): v for c in range(n)
+                           for e, v in raw(d).items()}) for _ in range(2)]
     q = draw(rational_forms(n)) if n > 1 else QuadraticForm(
         [[draw(mixed.filter(bool))]])
-    return (n, d, dh, raw(d), raw(d), raw(dh), draw(mixed),
-            draw(st.integers(0, n - 1)), fields, q)
+    return n, d, raw(d), draw(st.integers(0, n - 1)), fields, q
 
 
 @bounded(80)
 @given(mixed_cases())
 def test_coefficients_are_ints_exactly_when_integral(case):
-    n, d, dh, f, g, h, c, i, fields, q = case
+    """A Poly's coefficients and the bracket's, and the JSON written from
+    a field's terms, hold ints exactly where the value is integral."""
+    n, d, f, i, (xi, eta), q = case
     F = Poly(n, d, f)
-    rf = ref_nonzero(f)
-    results = [
-        (F, rf),
-        (F + Poly(n, d, g), ref_add(rf, ref_nonzero(g))),
-        (F * Poly(n, dh, h), ref_mul(rf, ref_nonzero(h))),
-        (F.scale(c), ref_nonzero({e: v * c for e, v in rf.items()})),
-        (F.diff(i), ref_diff(rf, i)),
-    ]
-    xi, eta = (PolyVectorField([Poly(n, d, comp) for comp in fld])
-               for fld in fields)
-    # the bracket's terms grouped per component, their values as returned
-    comps = [Poly(n, max(2 * d - 1, 0)) for _ in range(n)]
-    for (m, e), v in bracket(xi, eta).items():
-        comps[m].coeffs[e] = v
-    results += zip(comps, ref_bracket(*([ref_nonzero(comp) for comp in fld]
-                                        for fld in fields)))
-    for poly, want in results:
-        assert stored_exactly(poly.coeffs.values())
-        assert poly.coeffs == want
-        assert poly.to_json() == ref_json(want)
+    assert stored_exactly(F.coeffs.values())
+    assert F.coeffs == ref_nonzero(f)
+    br = bracket(xi, eta)
+    assert stored_exactly(br.values())
+    assert br == ref_bracket(xi, eta, n)
+    # F as the field F d/dx_i, and the bracket, through the JSON writer
+    for terms in ({(i, e): c for e, c in F.coeffs.items()}, br):
+        [out] = basis_to_json([("f", terms)])
+        assert out == {"name": "f", "components": [
+            ref_json(component(terms, m)) for m in range(n)] if terms else []}
     assert stored_exactly(x for row in q.matrix for x in row)
     assert stored_exactly(q.as_poly().coeffs.values())
+
+
+@st.composite
+def laplacian_cases(draw):
+    """n = 1..5, degree 0..6 and a nondegenerate rational form."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    q = draw(rational_forms(n)) if n > 1 else QuadraticForm(
+        [[draw(mixed.filter(bool))]])
+    return n, d, q
+
+
+@bounded(40)
+@given(laplacian_cases())
+def test_laplacian_columns_are_one_int_multiple_of_the_reference(case):
+    """Every laplacian_columns column is all-int and K Delta_q x^e by the
+    reference Laplacian, one K = den for all, den the lcm of the
+    denominators of q^{-1}."""
+    n, d, q = case
+    cols, src = laplacian_columns(n, d, q)
+    index = {e: r for r, e in enumerate(monomials(n, max(d - 2, 0)))}
+    K = lcm(*(x.denominator for row in ref_inverse(q.matrix) for x in row))
+    assert src == monomials(n, d)
+    for e, col in zip(src, cols):
+        assert all(type(v) is int and v for v in col.values())
+        ref = ref_laplacian({e: 1}, q)
+        assert col == {index[k]: K * c for k, c in ref.items()}
 
 
 @st.composite
