@@ -4,18 +4,26 @@ H^0 is the finite conformal algebra in degrees 0..2, each row checked
 against Liouville's closed form (at n = 2 by killing.ck_kernel); H^1
 collects the cokernels of y_dq, each the binomial Pieri count, which
 young_map.kernel_cokernel_dims checks by exact rank within the certified
-range and reconf_table against Bott's Weyl dimensions.
+range and reconf_table against Bott's Weyl dimensions. The tables are
+printed by the CLI, as `liouville reconf` prints them.
 """
 
-from liouville import reconf
+import sys
+
+from liouville import cli, reconf
+
+
+def reconf_cli(*argv):
+    if cli.run(["reconf", *argv]):
+        sys.exit(f"liouville reconf {' '.join(argv)} failed")
+
 
 for n in (3, 4):
-    table = reconf.reconf_table(n, 6)
-    print(reconf.table_to_pretty(n, table))
+    reconf_cli("--n", str(n), "--dmax", "6", "--format", "pretty")
     print()
 
 print("the same table in bundle indexing (H^1 entries shifted to d + 1)")
-print(reconf.table_to_tsv(reconf.reconf_table(3, 6, indexing="bundle")))
+reconf_cli("--n", "3", "--dmax", "6", "--indexing", "bundle", "--format", "tsv")
 print()
 
 print("continuity in n: graded Hilbert series of H^0 and H^1")

@@ -3,13 +3,17 @@
 `bott_cohomology` runs the rho-shift / sort / inversion-count procedure.
 `sdg_cohomology_on_P` specializes it to the twisted symmetric powers of
 G = Omega^1(1) on P(M) and checks every answer at twist +-1 against
-`sdg_table`, the paper's eight-case table; `les_restriction_to_Q` reads
-the dimensions of those two answers into the long exact sequence of the
-restriction to the quadric Q in P(M).
+`sdg_table`, the paper's eight-case table. Its readers take an answer's
+dimension from `_sdg_dim`, which checks the Weyl dimension at twist +-1
+against the binomials of that case's partition; `les_restriction_to_Q`
+reads the dimensions of those two answers into the long exact sequence
+of the restriction to the quadric Q in P(M).
 """
 
+from math import comb
+
 from . import weights
-from .weights import pad, weyl_dim
+from .weights import _perm_sign, pad, weyl_dim
 
 
 def rho(n):
@@ -21,20 +25,27 @@ def bott_cohomology(a):
 
     Returns None when a+rho has a repeated entry (no cohomology), else
     (degree, dominant_weight) with degree the inversion count of the sort.
+    a+rho is sorted once, and None comes only when that sort has two
+    equal neighbours. Raises ArithmeticError unless the sort, which is
+    lam+rho, is strictly decreasing and (-1)^degree is the sign of its
+    permutation, counted by cycles.
     """
     a = weights.check_weight(a)
     n = len(a)
     v = [x + r for x, r in zip(a, rho(n))]
-    if len(set(v)) < n:
+    order = sorted(range(n), key=v.__getitem__, reverse=True)
+    down = [v[i] for i in order]
+    if any(x == y for x, y in zip(down, down[1:])):
         return None
     inversions = sum(
         1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j]
     )
-    srt = sorted(v, reverse=True)
-    lam = tuple(x - r for x, r in zip(srt, rho(n)))
-    if not weights.is_dominant(lam):
-        raise ArithmeticError(f"sorted weight {lam} is not dominant")
-    return inversions, lam
+    res = inversions, tuple(x - r for x, r in zip(down, rho(n)))
+    if any(x < y for x, y in zip(down, down[1:])) or (
+            (-1) ** res[0] != _perm_sign(order)):
+        raise ArithmeticError(f"Bott gives {res} for weight {a}, not a+rho "
+                              f"sorted strictly downwards with its sign")
+    return res
 
 
 def sdg_weight(n, d, b):
@@ -79,6 +90,24 @@ def sdg_cohomology_on_P(n, d, b):
     return res
 
 
+def _sdg_dim(n, d, b, gc):
+    """Dimension of the answer gc of `sdg_cohomology_on_P(n, d, b)`: 0 for
+    None, else the Weyl dimension of its weight lam. At b = +-1 that must
+    be Jacobi-Trudi's h_p h_q - h_{p+1} h_{q-1}, h_m = C(n+m-1, m), for the
+    partition (p, q) that lam is dual to.
+    """
+    if gc is None:
+        return 0
+    dim = weyl_dim(lam := gc[1])
+    if b in (-1, 1):
+        h = lambda m: comb(n + m - 1, m) if m >= 0 else 0
+        p, q = -lam[-1], -lam[-2]
+        if dim != h(p) * h(q) - h(p + 1) * h(q - 1):
+            raise ArithmeticError(f"S^{d}(G)({b}) on P(C^{n}) has Weyl "
+                                  f"dimension {dim}, not Jacobi-Trudi's")
+    return dim
+
+
 def les_restriction_to_Q(n, d):
     """Cohomology of S^d(G)(1)|_Q from the multiplication-by-q sequence.
 
@@ -88,24 +117,15 @@ def les_restriction_to_Q(n, d):
     d >= 3. For d <= 2 everything lands in H^0. For d >= 3 the connecting
     map H^1(inner) -> H^1(outer) is the vertical Young multiplication in
     degree d-1, which is injective, and H^1 is Bott's number dim
-    H^1(outer) - dim H^1(inner), from `weyl_dim`; `reconf_table` checks
+    H^1(outer) - dim H^1(inner), from `_sdg_dim`; `reconf_table` checks
     it against the binomials of `young_map.coker_dim_formula`.
     Returns {i: dimension}.
     """
     if n < 3:
         raise ValueError("the quadric bookkeeping needs n >= 3")
-    inner, outer = (0 if gc is None else weyl_dim(gc[1]) for gc in
-                    (sdg_cohomology_on_P(n, d, b) for b in (-1, 1)))
+    inner, outer = (_sdg_dim(n, d, b, sdg_cohomology_on_P(n, d, b))
+                    for b in (-1, 1))
     if d < 3:
         # H^0(outer) -> H^0(restriction) -> H^1(inner) -> H^1(outer) = 0
         return {0: outer + inner}
     return {1: outer - inner}
-
-
-def graded_to_json(gc):
-    """JSON form of a `sdg_cohomology_on_P` answer."""
-    if gc is None:
-        return {"cohomology": {}, "dims": {}}
-    i, lam = gc
-    return {"cohomology": {str(i): [{"weight": list(lam), "multiplicity": 1}]},
-            "dims": {str(i): weyl_dim(lam)}}

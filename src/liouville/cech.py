@@ -115,22 +115,3 @@ def punctured_affine_table(n, box):
                 totals[deg][i] += d
     rows.sort()
     return rows, totals
-
-
-def table_to_tsv(rows):
-    lines = ["multidegree\ti\tdim"]
-    for m, i, d in rows:
-        lines.append(f"{','.join(map(str, m))}\t{i}\t{d}")
-    return "\n".join(lines)
-
-
-def table_to_json(rows, totals):
-    return {
-        "slices": [
-            {"multidegree": list(m), "i": i, "dim": d} for m, i, d in rows
-        ],
-        "totals_by_degree": {
-            str(deg): {str(i): d for i, d in sorted(by_i.items())}
-            for deg, by_i in sorted(totals.items())
-        },
-    }

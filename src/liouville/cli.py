@@ -6,6 +6,10 @@ answer is checked where it is computed: y_dq's (ker, coker) in
 `killing.ck_kernel`, and the answers of `bott`, `cech` and `reconf` in
 their own modules. The commands add only `ydq --oracle`, `killing`'s
 check of the named generators it prints and `selftest`'s own checks.
+
+This module alone writes output: the layers return data, each command
+builds its payload as one dict, and the JSON, TSV and pretty text of
+every command are written here from that dict.
 """
 
 import argparse
@@ -22,9 +26,9 @@ SCHEMA_VERSION = 1
 
 # The largest enumeration each command starts; a larger input exits 1
 # before any work. In process on a 2-vCPU VM (CPython 3.11), inputs near
-# a limit took: reconf --n 3 --dmax 200000 11 s, continuity --n-range 2
-# --dmax 399 12 s, bott --weight 500,499,..,1 4 s, sheaf --n 10000 4 s,
-# ydq --n 7 --d 5 0.05 s, cech --n 6 --box 3 0.05 s. cech solves one
+# a limit took: reconf --n 3 --dmax 200000 5.2 s, continuity --n-range 2
+# --dmax 399 5.8 s, bott --weight 500,499,..,1 3.4 s, sheaf --n 10000
+# 2.7 s, ydq --n 7 --d 5 0.04 s, cech --n 6 --box 3 0.02 s. cech solves one
 # complex per negative support, and the complex of the empty support has
 # 2^n - 1 cochains at any box (cech --n 16 --box 0 took 65 s), so
 # CECH_BUDGET counts at least 2 slices per axis: box 0 is admitted up to
@@ -63,7 +67,7 @@ def _emit(payload, fmt, render):
         elif fmt in render:
             print(render[fmt]())
         elif fmt == "tsv":
-            print(_default_tsv(payload))
+            print(_tsv(sorted(payload.items())))
         else:
             print(json.dumps(payload, sort_keys=True, indent=2))
     finally:
@@ -71,12 +75,15 @@ def _emit(payload, fmt, render):
             sys.set_int_max_str_digits(limit)
 
 
-def _default_tsv(payload):
-    return "\n".join(f"{k}\t{payload[k]}" for k in sorted(payload))
+def _tsv(rows):
+    """One line per row, its fields as str() gives them, tab-separated."""
+    return "\n".join("\t".join(map(str, row)) for row in rows)
 
 
 # Each cmd_* returns (payload, render), render mapping "tsv" or "pretty"
 # to a function that gives the text of that format, where it has its own.
+# JSON, and a format without its own text, is written from the payload:
+# TSV as its sorted (key, value) pairs, pretty as indented sorted JSON.
 
 def cmd_bott(args):
     a = tuple(int(x) for x in args.weight.split(","))
@@ -94,8 +101,13 @@ def cmd_bott(args):
 def cmd_sheaf(args):
     _within_budget("SHEAF_BUDGET", SHEAF_BUDGET, args.n)
     gc = bott.sdg_cohomology_on_P(args.n, args.d, args.b)
-    payload = {"n": args.n, "d": args.d, "b": args.b}
-    payload.update(bott.graded_to_json(gc))
+    payload = {"n": args.n, "d": args.d, "b": args.b,
+               "cohomology": {}, "dims": {}}
+    if gc is not None:  # one irreducible piece, of multiplicity 1
+        i, lam = gc
+        payload["cohomology"][str(i)] = [{"weight": list(lam),
+                                          "multiplicity": 1}]
+        payload["dims"][str(i)] = bott._sdg_dim(args.n, args.d, args.b, gc)
     return payload, {}
 
 
@@ -104,9 +116,14 @@ def cmd_cech(args):
     slices = max(2 * args.box + 1, 2) ** n
     _within_budget("CECH_BUDGET", CECH_BUDGET, slices * 2 ** n)
     rows, totals = cech.punctured_affine_table(args.n, args.box)
-    payload = {"n": args.n, "box": args.box}
-    payload.update(cech.table_to_json(rows, totals))
-    return payload, {"tsv": lambda: cech.table_to_tsv(rows)}
+    payload = {"n": args.n, "box": args.box,
+               "slices": [{"multidegree": list(m), "i": i, "dim": d}
+                          for m, i, d in rows],
+               "totals_by_degree": {
+                   str(deg): {str(i): d for i, d in by_i.items()}
+                   for deg, by_i in totals.items()}}
+    return payload, {"tsv": lambda: _tsv([("multidegree", "i", "dim")] + [
+        (",".join(map(str, m)), i, d) for m, i, d in rows])}
 
 
 def cmd_ydq(args):
@@ -139,17 +156,36 @@ def cmd_killing(args):
         gens = killing.named_generators(n, d)
         if d:  # every constant field is conformal Killing
             killing._check_conformal(n, gens)
-        payload["generators"] = killing.basis_to_json(gens)
+        payload["generators"] = [{"name": name, "components": _components(t)}
+                                 for name, t in gens]
     return payload, {}
+
+
+def _components(terms):
+    """A field's terms {(component, exponents): coeff} as its components
+    on C^n (n read off the exponents), each a list of {"exponents",
+    "coeff"} in descending exponent order."""
+    comps = [[] for _ in range(max((len(e) for _, e in terms), default=0))]
+    for c, e in sorted(terms, key=lambda k: k[1], reverse=True):
+        comps[c].append({"exponents": list(e), "coeff": str(terms[c, e])})
+    return comps
 
 
 def cmd_reconf(args):
     _within_budget("RECONF_BUDGET", RECONF_BUDGET,
                    (args.dmax + 1) * args.n ** 2)
     table = reconf.reconf_table(args.n, args.dmax, indexing=args.indexing)
-    return reconf.table_to_json(args.n, table), {
-        "tsv": lambda: reconf.table_to_tsv(table),
-        "pretty": lambda: reconf.table_to_pretty(args.n, table)}
+    rows = [(d, table[d]["h0"], table[d]["h1"]) for d in sorted(table)]
+    payload = {"n": args.n,
+               "rows": [{"d": d, "h0": h0, "h1": h1} for d, h0, h1 in rows],
+               "h0_total": reconf.h0_total(table)}
+    return payload, {
+        "tsv": lambda: _tsv([("d", "h0", "h1")] + rows),
+        "pretty": lambda: "\n".join([
+            f"R conf table for n = {args.n} (H^i = 0 for i >= 2)",
+            f"{'d':>4} {'H^0':>6} {'H^1':>8}",
+            *(f"{d:>4} {h0:>6} {h1:>8}" for d, h0, h1 in rows),
+            f"H^0 total: {payload['h0_total']}"])}
 
 
 def cmd_continuity(args):

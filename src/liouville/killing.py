@@ -11,9 +11,9 @@ graph {(x, phi x)} of phi, the map of the named basis to its images in
 so(n+2) (q split-extended to C^{n+2}), show from the brackets of P_1..P_n
 and K_1 that it is closed, and one rank that phi is onto. Both sides
 touch only nonzero terms. Inside this module a field is its terms
-{(component, exponents): coeff}: the named generators are built as terms,
-the bracket and CK take terms and the bracket returns them, and the JSON
-is written from them; `PolyVectorField` is only the form in which
+{(component, exponents): coeff}: the named generators are built and
+returned as terms, and the bracket and CK take terms and the bracket
+returns them; `PolyVectorField` is only the form in which
 ck_kernel returns fields and ck_operator takes one. Each image is built
 as its nonzero entries {(i, j): x} and commutators are taken on those.
 One linalg.solve of brackets over the basis reads structure constants,
@@ -364,18 +364,3 @@ def so_np2_isomorphism(n):
         raise ArithmeticError("P and K do not generate the graph")
     return {"n": n, "dimension": dim, "generators": list(names),
             "jacobi": "exact", "structure_constants_match": True}
-
-
-def basis_to_json(named_basis):
-    """Each named field's terms as its components on C^n (n read off the
-    exponents), each a list of {"exponents", "coeff"} in descending
-    exponent order."""
-    out = []
-    for name, terms in named_basis:
-        comps = [[] for _ in range(max((len(e) for _, e in terms),
-                                       default=0))]
-        for c, e in sorted(terms, key=lambda k: k[1], reverse=True):
-            comps[c].append({"exponents": list(e),
-                             "coeff": str(terms[c, e])})
-        out.append({"name": name, "components": comps})
-    return out

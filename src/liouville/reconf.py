@@ -38,8 +38,8 @@ def reconf_table(n, dmax, indexing="source"):
     H^0 sits in degrees 0..2 (the conformal algebra, graded by field
     degree), each row checked against Liouville's closed form
     `killing.liouville_dim`; H^1 entries are Coker(y_{d,q}) at degree d
-    ("source" indexing) or d+1 (bundle indexing). H^i = 0 for i >= 2, as
-    the header of `table_to_pretty` says. Each H^1 row is `h1_entry`'s
+    ("source" indexing) or d+1 (bundle indexing); H^i = 0 for i >= 2,
+    so the table has no other columns. Each H^1 row is `h1_entry`'s
     Pieri count, and its Bott comparison (bundle degree d+1) sets the
     Weyl dimensions of two answers pinned to `bott.sdg_table` against
     those binomials.
@@ -99,30 +99,3 @@ def continuity_report(n_range, dmax):
             h1 = [table[d]["h1"] for d in range(dmax + 1)]
         report[n] = {"h0": h0, "h1": h1}
     return report
-
-
-def table_to_json(n, table):
-    return {
-        "n": n,
-        "rows": [
-            {"d": d, "h0": table[d]["h0"], "h1": table[d]["h1"]}
-            for d in sorted(table)
-        ],
-        "h0_total": h0_total(table),
-    }
-
-
-def table_to_tsv(table):
-    lines = ["d\th0\th1"]
-    for d in sorted(table):
-        lines.append(f"{d}\t{table[d]['h0']}\t{table[d]['h1']}")
-    return "\n".join(lines)
-
-
-def table_to_pretty(n, table):
-    lines = [f"R conf table for n = {n} (H^i = 0 for i >= 2)",
-             f"{'d':>4} {'H^0':>6} {'H^1':>8}"]
-    for d in sorted(table):
-        lines.append(f"{d:>4} {table[d]['h0']:>6} {table[d]['h1']:>8}")
-    lines.append(f"H^0 total: {h0_total(table)}")
-    return "\n".join(lines)

@@ -2,7 +2,8 @@
 
 A weight is a plain tuple of n integers. Dominance (weakly decreasing) is
 checked where an operation requires it, never baked into a type, since
-Bott's algorithm needs arbitrary integer weights.
+Bott's algorithm needs arbitrary integer weights. `_perm_sign` is the one
+sign of a permutation, for Bott's check and the Young oracle.
 """
 
 
@@ -38,6 +39,24 @@ def weyl_dim(lam):
     if r:
         raise ArithmeticError(f"Weyl dimension of {lam} is not an integer")
     return d
+
+
+def _perm_sign(p):
+    """Sign of a permutation via cycle decomposition."""
+    seen = [False] * len(p)
+    sign = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def pad(lam, n):

@@ -23,7 +23,7 @@ from math import comb, factorial, lcm, prod
 
 from . import linalg
 from .polyspaces import Poly, QuadraticForm, monomials
-from .weights import pad, weyl_dim
+from .weights import _perm_sign, pad, weyl_dim
 
 
 def bipoly_basis(n, d, e):
@@ -255,24 +255,6 @@ def _block_perms(blocks, k):
                 new.append(tuple(q))
         perms = new
     return perms
-
-
-def _perm_sign(p):
-    """Sign of a permutation via cycle decomposition."""
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _stabilizer_order(orbit):

@@ -1,10 +1,11 @@
+import json
 import random
 import re
 from itertools import product
 
 import pytest
 
-from liouville import bott, reconf, weights
+from liouville import bott, cli, reconf, weights
 from liouville.weights import pad, weyl_dim
 
 
@@ -81,6 +82,15 @@ class TestSheafCohomologyOnP:
             gc = bott.sdg_cohomology_on_P(n, d, b)
             assert gc is None or gc[0] in (0, 1)
 
+    def test_wrong_weyl_dimension_rejected(self, monkeypatch):
+        # S^{1}(M*) at n = 4 has dimension 4 = h_1 h_0 - h_2 h_{-1}; the
+        # restriction to Q reads it first, as the inner answer at d = 2
+        monkeypatch.setattr(bott, "weyl_dim", lambda lam: weyl_dim(lam) + 1)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "S^2(G)(-1) on P(C^4) has Weyl dimension 5, not "
+                "Jacobi-Trudi's")):
+            bott.les_restriction_to_Q(4, 2)
+
     def test_named_examples(self):
         assert bott.sdg_cohomology_on_P(4, 2, 1) is None
         assert dims(bott.sdg_cohomology_on_P(4, 5, -1)) == {1: 35}
@@ -142,9 +152,9 @@ class TestRestrictionToQ:
             bott.les_restriction_to_Q(4, d)
 
 
-def test_graded_json_shape():
-    gc = bott.sdg_cohomology_on_P(4, 5, -1)
-    payload = bott.graded_to_json(gc)
+def test_graded_json_shape(capsys):
+    assert cli.run(["sheaf", "--n", "4", "--d", "5", "--b", "-1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["dims"] == {"1": 35}
     assert payload["cohomology"]["1"] == [
         {"weight": [0, 0, 0, -4], "multiplicity": 1}

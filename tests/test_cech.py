@@ -1,9 +1,10 @@
+import json
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from liouville import cech
+from liouville import cech, cli
 
 
 class TestCechSlice:
@@ -82,12 +83,22 @@ class TestTable:
         with pytest.raises(ArithmeticError):
             cech.punctured_affine_table(2, 1)
 
-    def test_tsv_and_json_round(self):
-        rows, totals = cech.punctured_affine_table(2, 1)
-        tsv = cech.table_to_tsv(rows)
-        assert tsv.splitlines()[0] == "multidegree\ti\tdim"
-        payload = cech.table_to_json(rows, totals)
+    def test_tsv_and_json_round(self, capsys):
+        out = {}
+        for fmt in ("json", "tsv"):
+            assert cli.run(["cech", "--n", "2", "--box", "1",
+                            "--format", fmt]) == 0
+            out[fmt] = capsys.readouterr().out
+        lines = out["tsv"].splitlines()
+        assert lines[0] == "multidegree\ti\tdim"
+        payload = json.loads(out["json"])
         assert {"multidegree": [-1, -1], "i": 1, "dim": 1} in payload["slices"]
+        rows, totals = cech.punctured_affine_table(2, 1)
+        assert [line.split("\t") for line in lines[1:]] == [
+            [",".join(map(str, m)), str(i), str(d)] for m, i, d in rows]
+        assert payload["totals_by_degree"] == {
+            str(deg): {str(i): d for i, d in by_i.items()}
+            for deg, by_i in totals.items()}
 
     @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("box", range(4))

@@ -5,9 +5,8 @@ src/liouville. A fixed list of commands then runs in one `python -O`
 subprocess, so a check that is an assert would be stripped. Every command
 whose stdout the mutant changes must exit 2, and at least one must
 change: a mutant that no command notices tests no check. A row is added
-with each check that closes an escape. Two known escapes have no row:
-`sheaf` at a twist b other than +-1, which nothing checks, and `bott`,
-whose degree + 1 only `selftest` catches, so `bott` runs no command here.
+with each check that closes an escape. One known escape has no row:
+`sheaf` at a twist b other than +-1, which nothing checks.
 """
 
 import json
@@ -34,6 +33,7 @@ COMMANDS = [
     ["sheaf", "--n", "4", "--d", "3", "--b", "1"],
     ["sheaf", "--n", "4", "--d", "2", "--b", "-1"],
     ["sheaf", "--n", "5", "--d", "0", "--b", "1"],
+    ["bott", "--weight", "0,0,-3,1"],
     ["selftest"],
 ]
 
@@ -82,6 +82,16 @@ MUTANTS = [
     ("d-first-term-dropped", "killing.py",
      "(k, e[k]): 1 for k in range(n)}", "(k, e[k]): 1 for k in range(1, n)}"),
     ("r-sign-flipped", "killing.py", "(i, e[j]): -1}", "(i, e[j]): 1}"),
+    # Bott's answer, which bott_cohomology checks against the sign and
+    # the values of the permutation that sorts a+rho downwards
+    ("bott-degree-plus-one", "bott.py",
+     "res = inversions, ", "res = inversions + 1, "),
+    ("bott-sort-ascending", "bott.py",
+     "key=v.__getitem__, reverse=True)", "key=v.__getitem__)"),
+    # weyl_dim's integrality check stops `bott` printing it, and the
+    # Jacobi-Trudi binomials of bott._sdg_dim the b = +-1 `sheaf`
+    ("weyl-den-plus-one", "weights.py",
+     "den *= j - i", "den *= j - i + 1"),
 ]
 
 

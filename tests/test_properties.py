@@ -2,18 +2,23 @@
 Casimir steps, the integer y_dq columns, y_dq against its closed form and
 against the projector, the conformal Killing operator and its int
 columns, the integer q-Laplacian columns, the Lie bracket, the Jacobi
-check, the int-or-Fraction coefficient representation and Cech slices.
-The references run on the dict arithmetic of `polyref`."""
+check, the int-or-Fraction coefficient representation, Cech slices and
+Bott's answers. The references run on the dict arithmetic of `polyref`."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from liouville import cech, killing, young_map as ym
-from liouville.killing import (PolyVectorField, basis_to_json, bracket,
-                               ck_columns, ck_operator)
+from liouville import bott, cech, cli, killing, young_map as ym
+from liouville.killing import (PolyVectorField, bracket, ck_columns,
+                               ck_operator)
 from liouville.polyspaces import (Poly, QuadraticForm, laplacian_columns,
                                   monomials)
 from polyref import (component, ref_add, ref_bracket, ref_diff,
@@ -504,8 +509,9 @@ def mixed_cases(draw):
 @bounded(80)
 @given(mixed_cases())
 def test_coefficients_are_ints_exactly_when_integral(case):
-    """A Poly's coefficients and the bracket's, and the JSON written from
-    a field's terms, hold ints exactly where the value is integral."""
+    """A Poly's coefficients and the bracket's, and the JSON that
+    `killing` writes from a field's terms, hold ints exactly where the
+    value is integral."""
     n, d, f, i, (xi, eta), q = case
     F = Poly(n, d, f)
     assert stored_exactly(F.coeffs.values())
@@ -513,9 +519,15 @@ def test_coefficients_are_ints_exactly_when_integral(case):
     br = bracket(xi, eta)
     assert stored_exactly(br.values())
     assert br == ref_bracket(xi, eta, n)
-    # F as the field F d/dx_i, and the bracket, through the JSON writer
+    # F as the field F d/dx_i, and the bracket, printed by `killing` in
+    # place of its named generators (at d = 0, which checks none of them)
     for terms in ({(i, e): c for e, c in F.coeffs.items()}, br):
-        [out] = basis_to_json([("f", terms)])
+        text = io.StringIO()
+        with mock.patch.object(killing, "named_generators",
+                               lambda n, d: [("f", terms)]), \
+                contextlib.redirect_stdout(text):
+            assert cli.run(["killing", "--n", "2", "--d", "0"]) == 0
+        [out] = json.loads(text.getvalue())["generators"]
         assert out == {"name": "f", "components": [
             ref_json(component(terms, m)) for m in range(n)] if terms else []}
     assert stored_exactly(x for row in q.matrix for x in row)
@@ -562,3 +574,23 @@ def same_negative_support(draw):
 def test_cech_slice_depends_only_on_negative_support(case):
     n, m, m2 = case
     assert cech.cech_slice(n, m) == cech.cech_slice(n, m2)
+
+
+def weyl_numerator(w):
+    """prod_{i<j} (w_i - w_j + j - i), Weyl's numerator on w + rho."""
+    return prod(x - y for x, y in combinations(
+        [x - i for i, x in enumerate(w)], 2))
+
+
+@bounded(200)
+@given(st.lists(st.integers(-8, 8), min_size=1, max_size=8))
+def test_bott_answer_keeps_the_weyl_numerator(a):
+    """The Euler characteristic of O(a): Weyl's numerator on the unsorted
+    weight is 0 exactly when Bott vanishes, else (-1)^degree times the
+    numerator of Bott's weight, which is dominant."""
+    res, num = bott.bott_cohomology(a), weyl_numerator(a)
+    assert (res is None) == (num == 0)
+    if res is not None:
+        degree, lam = res
+        assert list(lam) == sorted(lam, reverse=True)
+        assert num == (-1) ** degree * weyl_numerator(lam)

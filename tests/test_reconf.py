@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from liouville import killing, reconf
+from liouville import cli, killing, reconf
 from liouville.weights import pad, weyl_dim
 
 
@@ -95,11 +97,18 @@ class TestContinuity:
             reconf.continuity_report([7], 4)
 
 
-def test_serializers():
-    table = reconf.reconf_table(3, 4)
-    payload = reconf.table_to_json(3, table)
+def test_serializers(capsys):
+    out = {}
+    for fmt in ("json", "tsv", "pretty"):
+        assert cli.run(["reconf", "--n", "3", "--dmax", "4",
+                        "--format", fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    payload = json.loads(out["json"])
     assert payload["h0_total"] == 10
-    tsv = reconf.table_to_tsv(table)
-    assert tsv.splitlines()[0] == "d\th0\th1"
-    pretty = reconf.table_to_pretty(3, table)
-    assert "H^0 total: 10" in pretty
+    table = reconf.reconf_table(3, 4)
+    assert payload["rows"] == [{"d": d, **table[d]} for d in range(5)]
+    lines = out["tsv"].splitlines()
+    assert lines[0] == "d\th0\th1"
+    assert [tuple(map(int, line.split("\t"))) for line in lines[1:]] == [
+        (r["d"], r["h0"], r["h1"]) for r in payload["rows"]]
+    assert "H^0 total: 10" in out["pretty"]
