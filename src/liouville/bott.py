@@ -10,10 +10,8 @@ reads the dimensions of those two answers into the long exact sequence
 of the restriction to the quadric Q in P(M).
 """
 
-from math import comb
-
 from . import weights
-from .weights import _perm_sign, pad, weyl_dim
+from .weights import _perm_sign, pad, sym_dim, weyl_dim
 
 
 def rho(n):
@@ -100,7 +98,7 @@ def _sdg_dim(n, d, b, gc):
         return 0
     dim = weyl_dim(lam := gc[1])
     if b in (-1, 1):
-        h = lambda m: comb(n + m - 1, m) if m >= 0 else 0
+        h = lambda m: sym_dim(n, m)
         p, q = -lam[-1], -lam[-2]
         if dim != h(p) * h(q) - h(p + 1) * h(q - 1):
             raise ArithmeticError(f"S^{d}(G)({b}) on P(C^{n}) has Weyl "

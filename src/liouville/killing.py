@@ -23,7 +23,6 @@ integral.
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import add
 
 from . import linalg
@@ -276,14 +275,11 @@ def so_structure_constants(n):
 
 def check_jacobi(constants, dim):
     """Exact Jacobi identity on antisymmetrized structure constants,
-    decided on ints: the constants are scaled once by the lcm of their
-    denominators, which scales each Jacobi sum by that lcm squared; it
-    visits only the nonzero brackets, a missing or empty one being zero."""
-    den = lcm(*(x.denominator for v in constants.values() for x in v.values()))
+    summed as they are, ints or Fractions; it visits only the nonzero
+    brackets, a missing or empty one being zero."""
     c = [[()] * dim for _ in range(dim)]
     for (a, b), v in constants.items():
-        c[a][b] = [(k, x.numerator * (den // x.denominator))
-                   for k, x in v.items() if x]
+        c[a][b] = [(k, x) for k, x in v.items() if x]
         c[b][a] = [(k, -x) for k, x in c[a][b]]
 
     for a, b, cc in combinations(range(dim), 3):

@@ -2,7 +2,8 @@
 
 One sparse fraction-free column echelon does all of it, and no other
 module reads one. Matrices come as sparse columns {row: value} with int
-or Fraction values. A column of nonzero ints, as the y_{d,q} columns
+or Fraction values, and the echelon is where their denominators are
+cleared: a column of nonzero ints, as the y_{d,q} and Killing columns
 are, is taken as it is after one type check of its entries; any other
 column is cleared to integers with its zeros dropped. Column j is tagged
 {j: denominator} and reduced against the pivots found so far by integer
@@ -11,11 +12,13 @@ every combination is applied to its tag as well, so a tag always says
 which combination of the input columns its vector is. A column that
 reduces to zero leaves its tag as a relation: the kernel vector with a
 nonzero entry at j and its other entries on the pivot columns p before
-j. That vector is unique up to scale, so the kernel scaled to 1 at each
-free column, and j's coordinates -tag[p] / tag[j] (rref's entries, and
-solve's answer for targets placed after the columns) are reproducible
-bit-for-bit, as sparse {column: value} dicts, ints where integral
-(`_exact`). Only `rank` takes dense rows, for small dense inputs.
+j. That vector is unique up to scale, so one readout, `_relation`,
+scales it to 1 at j: it is the kernel vector, and its negatives are j's
+coordinates over those pivots (rref's entries, and solve's answer for
+targets placed after the columns). All three are reproducible
+bit-for-bit, as sparse {column: value} dicts, pivots in increasing
+order, ints where integral (`_exact`). Only `rank` takes dense rows, for
+small dense inputs.
 """
 
 from fractions import Fraction
@@ -97,10 +100,11 @@ def rank_sparse(columns):
     return len(_echelon(columns)[0])
 
 
-def _coordinates(tag, j):
-    """Column j over the pivot columns of its relation tag: -tag[p] /
-    tag[j] at each pivot p, an int where integral."""
-    return {p: _exact(Fraction(-x, tag[j])) for p, x in tag.items() if p != j}
+def _relation(tag, j):
+    """The kernel vector of relation tag scaled to 1 at its column j,
+    without that 1: tag[p] / tag[j] at each pivot p, an int where
+    integral. Column j's coordinates over those pivots are its negatives."""
+    return {p: _exact(Fraction(tag[p], tag[j])) for p in sorted(tag) if p != j}
 
 
 def rref(columns):
@@ -113,8 +117,8 @@ def rref(columns):
     pivots, relations = _echelon(columns)
     rows = {p: {p: 1} for p in pivots}
     for j, tag in relations.items():
-        for p, x in _coordinates(tag, j).items():
-            rows[p][j] = x
+        for p, x in _relation(tag, j).items():
+            rows[p][j] = -x
     return [rows[p] for p in pivots], pivots
 
 
@@ -125,7 +129,7 @@ def solve(columns, targets):
     the first target outside the columns' span; a caller checks its length."""
     out, relations = [], _echelon(columns + targets)[1]
     while (j := len(columns) + len(out)) in relations:
-        out.append(_coordinates(relations[j], j))
+        out.append({p: -x for p, x in _relation(relations[j], j).items()})
     return out
 
 
@@ -136,11 +140,5 @@ def nullspace(columns):
     column j: its relation scaled to 1 at j, with the entries at its pivot
     columns in order.
     """
-    basis = []
-    for j, tag in _echelon(columns)[1].items():
-        v = {j: 1}
-        for p in sorted(tag):
-            if p != j:
-                v[p] = _exact(Fraction(tag[p], tag[j]))
-        basis.append(v)
-    return basis
+    return [{j: 1, **_relation(tag, j)}
+            for j, tag in _echelon(columns)[1].items()]

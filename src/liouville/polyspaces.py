@@ -9,8 +9,10 @@ every space S^d a canonical basis. The engine's operators act on plain
 {exponents: coeff} dicts and build int columns; `Poly` wraps such a dict
 only where a polynomial enters or leaves the API (y_dq, the projector,
 kernels), so it has no arithmetic of its own. The quadratic form q, the
-q-Laplacian's int columns (q^{-1} is one linalg.solve) and harmonic
-dimensions live here.
+q-Laplacian's int columns and harmonic dimensions live here. A form's
+denominators are cleared once, by `QuadraticForm.integer_entries`, which
+the y_{d,q}, Killing and Laplacian columns read (the last on the form
+q^{-1}, one linalg.solve); every other matrix's by `linalg`'s echelon.
 """
 
 from functools import cached_property
@@ -131,24 +133,21 @@ def _invert(mat):
 
 
 def laplacian_columns(n, d, q):
-    """Sparse int columns of den Delta_q : S^d -> S^{d-2}, den the lcm of
-    the denominators of q^{-1} (one _invert) and Delta_q x^e =
-    sum_{i,j} q^{ij} d_i d_j x^e: each entry den q^{kl}, k <= l, takes
-    x^e to e_k (e_l - [k = l]) x^(e - 1_k - 1_l), twice when k != l."""
+    """Sparse int columns of den Delta_q : S^d -> S^{d-2}, where
+    Delta_q x^e = sum_{i,j} q^{ij} d_i d_j x^e and (den, den q^{kl}),
+    k <= l, are the `integer_entries` of the form q^{-1} (one _invert):
+    each entry takes x^e to e_k (e_l - [k = l]) x^(e - 1_k - 1_l), twice
+    when k != l."""
     if q.n != n:
         raise ValueError("variable-count mismatch")
-    inv = _invert(q.matrix)
-    den = lcm(*(a.denominator for row in inv for a in row))
-    entries = [(k, l, (2 - (k == l)) * a.numerator * (den // a.denominator))
-               for k, row in enumerate(inv) for l, a in enumerate(row[k:], k)
-               if a]
+    entries = QuadraticForm(_invert(q.matrix)).integer_entries[1]
     src = monomials(n, d)
     dst = {e: i for i, e in enumerate(monomials(n, max(d - 2, 0)))}
     cols = []
     for e in src:
         col = {}  # each pair k <= l lowers e to its own row
         for k, l, a in entries:
-            if w := e[k] * (e[l] - (k == l)):
+            if w := e[k] * (e[l] - 1 if k == l else 2 * e[l]):
                 m = list(e)
                 m[k] -= 1
                 m[l] -= 1

@@ -3,8 +3,11 @@
 A weight is a plain tuple of n integers. Dominance (weakly decreasing) is
 checked where an operation requires it, never baked into a type, since
 Bott's algorithm needs arbitrary integer weights. `_perm_sign` is the one
-sign of a permutation, for Bott's check and the Young oracle.
+sign of a permutation, for Bott's check and the Young oracle. `sym_dim`
+is the one binomial dim S^d, which the checks of Weyl dimensions read.
 """
+
+from math import comb
 
 
 def is_dominant(w):
@@ -70,9 +73,9 @@ def pad(lam, n):
 
 
 def sym_dim(n, d):
-    """dim S^d(C^n), as a weight computation; 0 for d < 0, and for d > 0
-    on n < 1."""
+    """dim S^d(C^n), the binomial C(n+d-1, d): the count that the Weyl
+    dimensions are set against. 0 for d < 0, and for d > 0 on n < 1."""
     if d < 0 or (d > 0 and n < 1):
         return 0
-    return weyl_dim(pad((d,), n)) if d > 0 else 1
+    return comb(n + d - 1, d) if d > 0 else 1
 

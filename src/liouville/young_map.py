@@ -19,11 +19,11 @@ independent oracle of the ranks.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import comb, factorial, lcm, prod
+from math import factorial, prod
 
 from . import linalg
 from .polyspaces import Poly, QuadraticForm, monomials
-from .weights import _perm_sign, pad, weyl_dim
+from .weights import _perm_sign, pad, sym_dim, weyl_dim
 
 
 def bipoly_basis(n, d, e):
@@ -74,8 +74,9 @@ def project_isotypic(F):
     Sigma^{d,2} is ker R there and the other Pieri constituents (d+2) and
     (d+1, 1) lie in im L, so this is the sl_2 extremal projector
     sum_k (-1)^k L^k R^k / (k! (h+2)..(h+k+1)) at h = d - 2, cut at k = 2
-    as R^3 kills y-degree 2: 1 - L R / d + L^2 R^2 / (2d(d+1)), run in
-    integers as 2d(d+1) G + L(L R^2 G - 2(d+1) R G) and divided once.
+    as R^3 kills y-degree 2: 1 - L R / d + L^2 R^2 / (2d(d+1)), run on
+    F's coefficients as they are as 2d(d+1) F + L(L R^2 F - 2(d+1) R F)
+    and divided once.
     On F = f(x) q(y) it is y_dq(f, q), which runs the closed form
     instead: this generic projector is the oracle of that closed form.
     """
@@ -84,16 +85,14 @@ def project_isotypic(F):
         raise ValueError(f"not of bidegree ({d}, 2) in x, y")
     if d < 2:
         raise ValueError("shape (d,2) needs d >= 2")
-    den = lcm(*(c.denominator for c in F.coeffs.values()))
-    G = {k: c.numerator * (den // c.denominator) for k, c in F.coeffs.items()}
-    RG = _polarize(G, n, n, 0)
+    RG = _polarize(F.coeffs, n, n, 0)
     T = _polarize(_polarize(RG, n, n, 0), n, 0, n)
     for k, c in RG.items():
         T[k] = T.get(k, 0) - 2 * (d + 1) * c
-    out = {k: 2 * d * (d + 1) * c for k, c in G.items()}
+    out = {k: 2 * d * (d + 1) * c for k, c in F.coeffs.items()}
     for k, c in _polarize(T, n, 0, n).items():
         out[k] = out.get(k, 0) + c
-    K = den * 2 * d * (d + 1)
+    K = 2 * d * (d + 1)
     return Poly(F.n, F.degree,
                 {k: Fraction(c, K) for k, c in out.items() if c})
 
@@ -111,26 +110,24 @@ def y_dq(f, q):
     The projection of f(x) q(y), evaluated from the closed form
     d(d+1) y = d(d-1) f q(y) - 2(d-1) (L f) B + (L^2 f) q(x) of the module
     docstring. q's integer entries den_q a_kl, k <= l, come once per form
-    (`QuadraticForm.integer_entries`); with f's denominators cleared too,
-    each term c x^e of f, each entry and each unordered pair i <= j of
-    f's support add into one int dict. A symmetric term with k != l or
-    i != j stands for two ordered ones and counts twice, and each of B's
-    off-diagonal entries gives its two terms x_k y_l and x_l y_k. The sum
-    is divided once by K = den_f den_q d(d+1): a coefficient is an int
-    when K divides it and a Fraction otherwise.
+    (`QuadraticForm.integer_entries`); each term c x^e of f, each entry
+    and each unordered pair i <= j of f's support add into one dict, of
+    ints when f's coefficients are ints, as they are in `y_dq_columns`. A
+    symmetric term with k != l or i != j stands for two ordered ones and
+    counts twice, and each of B's off-diagonal entries gives its two terms
+    x_k y_l and x_l y_k. The sum is divided once by K = den_q d(d+1): a
+    coefficient is an int when it is integral and a Fraction otherwise.
     """
     n, d = f.n, f.degree
     if d < 2:
         raise ValueError("y_dq needs degree >= 2")
     if n != q.n:
         raise ValueError("variable-count mismatch")
-    den_f = lcm(*(c.denominator for c in f.coeffs.values()))
     den_q, entries = q.integer_entries
     yy = _y_pairs(n)
     fq, lb = d * (d - 1), -2 * (d - 1)
     out = {}
     for e, c in f.coeffs.items():
-        c = c.numerator * (den_f // c.denominator)
         support = [i for i, b in enumerate(e) if b]
         for k, l, a in entries:
             ca = c * a
@@ -157,7 +154,7 @@ def y_dq(f, q):
                         key = tuple(m) + yy[i][j]  # (L^2 f) q(x)
                         out[key] = out.get(key, 0) + w * cq
                         m[j] += 1
-    K = den_f * den_q * d * (d + 1)
+    K = den_q * d * (d + 1)
     y = Poly(2 * n, d + 2)
     for key, c in out.items():
         if c:
@@ -191,25 +188,30 @@ def y_dq_kernel(n, d, q=None):
 def coker_dim_formula(n, d):
     """dim Sigma^{d,2} - dim S^d for C^n in binomials, by Pieri's rule
     S^d S^2 = S^(d+1) V + Sigma^{d,2}; y_dq's cokernel size at n >= 3."""
-    return (comb(n + d - 1, d) * comb(n + 1, 2) - n * comb(n + d, d + 1)
-            - comb(n + d - 1, d))
+    return (sym_dim(n, d) * sym_dim(n, 2) - n * sym_dim(n, d + 1)
+            - sym_dim(n, d))
+
+
+def _pieri(what, n, d, dims):
+    """dims, the (ker, coker) of the realization `what` of y_dq at n >= 2.
+    Raises ArithmeticError unless it is (0, coker_dim_formula(n, d)) at
+    n >= 3, where y_dq is injective, or (2, 0) at n = 2, where it kills
+    exactly the two dimensions of H_d."""
+    expected = (2, 0) if n == 2 else (0, coker_dim_formula(n, d))
+    if dims != expected:
+        raise ArithmeticError(f"{what} at n={n}, d={d} has (ker, coker) = "
+                              f"{dims}, not the Pieri count {expected}")
+    return dims
 
 
 def kernel_cokernel_dims(n, d, q=None):
-    """(ker, coker) of y_dq via exact rank; coker relative to Sigma^{d,2}
-    of `weyl_dim`'s dimension. Raises ArithmeticError unless it is
-    (0, coker_dim_formula(n, d)) at n >= 3, where y_dq is injective, or
-    (2, 0) at n = 2, where it kills exactly the two dimensions of H_d."""
+    """(ker, coker) of y_dq via exact rank, checked by `_pieri`; coker
+    relative to Sigma^{d,2} of `weyl_dim`'s dimension."""
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
     cols, src = y_dq_columns(n, d, q)
     r = linalg.rank_sparse(cols)
-    dims = len(src) - r, weyl_dim(pad((d, 2), n)) - r
-    expected = (2, 0) if n == 2 else (0, coker_dim_formula(n, d))
-    if dims != expected:
-        raise ArithmeticError(f"y_dq at n={n}, d={d} has (ker, coker) = "
-                              f"{dims}, not the Pieri count {expected}")
-    return dims
+    return _pieri("y_dq", n, d, (len(src) - r, weyl_dim(pad((d, 2), n)) - r))
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +335,20 @@ def young_symmetrizer_oracle(lam, n, q=None):
 
     The oracle y-map is f -> c_{(d,2)}(sym(f) tensor q), with q as a
     symmetric 2-tensor in the last two slots, over the monomials of S^d
-    (`_oracle_y_columns`).
+    (`_oracle_y_columns`). The symmetrizer's rank is dim Sigma^{d,2}, so
+    for n >= 2 the y-map's (ker, coker) is checked by `_pieri`.
     """
     lam = tuple(x for x in lam if x)
     c_lam = young_symmetrizer_columns(lam, n)
     r = linalg.rank_sparse(list(c_lam.values()))
     y_rank = None
     if len(lam) == 2 and lam[1] == 2 and lam[0] >= 2:
+        if n < 2:
+            raise ValueError("the oracle y-map needs n >= 2")
         q = q if q is not None else QuadraticForm.standard(n)
         if q.n != n:
             raise ValueError("variable-count mismatch")
         y_rank = linalg.rank_sparse(_oracle_y_columns(c_lam, n, lam[0], q))
+        _pieri("the Young oracle", n, lam[0],
+               (sym_dim(n, lam[0]) - y_rank, r - y_rank))
     return r, y_rank

@@ -1,7 +1,12 @@
 """Each narrative demo, the README's Python examples and the selftest run
-warning-free against the source tree."""
+warning-free against the source tree. Each demo's stdout is pinned by
+sha256, as tests/test_cli_golden.py pins the CLI: a refactor that is
+meant to leave the demos unchanged must leave each digest unchanged, and
+a change that alters a demo's text on purpose re-records its digest, with
+the reason, in the same commit."""
 
 import doctest
+import hashlib
 import json
 import os
 import re
@@ -13,6 +18,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DIGESTS = {
+    "01_bott_tables":
+        "0a07df4c8b4fcc27e0a55dc75464a69552dd384977574919d4270077c763a96a",
+    "02_cech_punctured_affine":
+        "cfbd59b9f04bf11516748b29b82a9a41d40824d643e1699510272165d1f88890",
+    "03_harmonics_and_young_map":
+        "17755bdb99712f8f0347de69deecc4e917843d9d0ffea73eb5f161d4fdef0462",
+    "04_conformal_killing":
+        "41bfa2a8b275e7dbdf46f8f5ca734e2d1db0da02bc5f8b01ebc2267fbe6100d8",
+    "05_cohomology_table":
+        "219af1c75c72a27836936540f2dbe5095ab94125fa1134c19d2fbb4466aa5137",
+    "06_oracles_and_cli":
+        "f098bfb3213bc938cdd99845294bf8b6cc5f0c25fc0dfa38261cefecdaf5f521",
+}
 
 
 def src_env():
@@ -29,6 +48,8 @@ def test_demo_runs(demo):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert (hashlib.sha256(proc.stdout.encode()).hexdigest()
+            == DIGESTS[demo.stem]), proc.stdout
 
 
 def test_readme_python_examples():

@@ -171,6 +171,31 @@ def test_solve_recombines_each_target_up_to_the_first_outside(case):
                    for x in c.values())
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(solve_cases())
+def test_nullspace_and_rref_read_one_relation_per_free_column(case):
+    # the columns followed by the targets: sparse int and Fraction columns
+    # with kept zeros, many of them combinations of the ones before
+    columns, targets, _ = case
+    cols = columns + targets
+    red, pivots = linalg.rref(cols)
+    basis = linalg.nullspace(cols)
+    free = [j for j in range(len(cols)) if j not in pivots]
+    assert len(basis) == len(free)
+    for j, v in zip(free, basis):
+        assert v[j] == 1 and set(v) <= {j, *pivots}
+        acc = {}
+        for k, x in v.items():
+            for i, y in cols[k].items():
+                acc[i] = acc.get(i, 0) + x * y
+        assert not any(acc.values())
+        for p, row in zip(pivots, red):
+            assert row.get(j, 0) == -v.get(p, 0)
+    assert all(type(x) is (int if x.denominator == 1 else Fraction)
+               for vectors in (basis, red) for v in vectors
+               for x in v.values())
+
+
 def test_empty_matrices():
     assert linalg.rank([]) == 0
     assert linalg.rank_sparse([]) == 0

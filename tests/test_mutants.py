@@ -28,6 +28,7 @@ COMMANDS = [
     ["killing", "--n", "3", "--d", "2"],
     ["ydq", "--n", "5", "--d", "3"],
     ["ydq", "--n", "5", "--d", "10"],
+    ["ydq", "--n", "3", "--d", "3", "--oracle"],
     ["cech", "--n", "3", "--box", "1"],
     ["cech", "--n", "4", "--box", "0"],
     ["sheaf", "--n", "4", "--d", "3", "--b", "1"],
@@ -92,6 +93,11 @@ MUTANTS = [
     # Jacobi-Trudi binomials of bott._sdg_dim the b = +-1 `sheaf`
     ("weyl-den-plus-one", "weights.py",
      "den *= j - i", "den *= j - i + 1"),
+    # the Young oracle loses a column of its y-map, which it checks
+    # against the Pieri count that `ydq` sets y_dq's ranks against
+    ("oracle-y-column-dropped", "young_map.py",
+     "_oracle_y_columns(c_lam, n, lam[0], q))",
+     "_oracle_y_columns(c_lam, n, lam[0], q)[1:])"),
 ]
 
 

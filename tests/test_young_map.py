@@ -341,6 +341,12 @@ class TestSymmetrizerOracle:
         with pytest.raises(ValueError, match="variable-count mismatch"):
             ym.young_symmetrizer_oracle(lam, n, QuadraticForm.standard(m))
 
+    def test_y_map_needs_two_variables(self):
+        # Sigma^{d,2} of C^1 is 0: the Pieri count that checks the y-map
+        # is stated for n >= 2
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            ym.young_symmetrizer_oracle((2, 2), 1)
+
     def test_rank_matches_weyl_dim(self):
         for n in (2, 3):
             for lam in SHAPES:
