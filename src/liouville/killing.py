@@ -2,23 +2,22 @@
 
 The conformal Killing operator is the traceless symmetrized gradient
 (with the 2/n trace normalization), on degree-d fields one polynomial of
-bidegree (d - 1, 2) in young_map's (x, y) ring, built with young_map's
-polarization L. It is built on ints as den n CK, den the lcm of the
-denominators of q: its sparse columns are all ints, one multiple of CK,
-and its kernel per degree is their exact nullspace. The degree-(0,1,2)
-kernel carries the usual conformal algebra: two exact ranks over the
-graph {(x, phi x)} of phi, the map of the named basis to its images in
-so(n+2) (q split-extended to C^{n+2}), show from the brackets of P_1..P_n
-and K_1 that it is closed, and one rank that phi is onto. Both sides
-touch only nonzero terms. Inside this module a field is its terms
+bidegree (d - 1, 2) in polyspaces' (x, y) ring, built with its
+polarization L, on ints as den n CK, den the lcm of the denominators of
+q: its sparse columns are all ints, one multiple of CK, and its kernel
+per degree is their exact nullspace. The degree-(0,1,2) kernel carries
+the usual conformal algebra: two exact ranks over the graph
+{(x, phi x)} of phi, the map of the named basis to its images in
+so(n+2) (q split-extended to C^{n+2}), show from the brackets of
+P_1..P_n and K_1 that it is closed, and one rank that phi is onto. Both
+sides touch only nonzero terms. Inside this module a field is its terms
 {(component, exponents): coeff}: the named generators are built and
 returned as terms, and the bracket and CK take terms and the bracket
-returns them; `PolyVectorField` is only the form in which
-ck_kernel returns fields and ck_operator takes one. Each image is built
-as its nonzero entries {(i, j): x} and commutators are taken on those.
-One linalg.solve of brackets over the basis reads structure constants,
-or names the pair that fails closure. Values are ints wherever they are
-integral.
+returns them; `PolyVectorField` is only the form in which ck_kernel
+returns fields and ck_operator takes one. Each image is built as its
+nonzero entries {(i, j): x} and commutators are taken on those. One
+linalg.solve of brackets over the basis reads structure constants, or
+names the pair that fails closure. Values are ints wherever integral.
 """
 
 from fractions import Fraction
@@ -27,8 +26,8 @@ from operator import add
 
 from . import linalg
 from .linalg import _exact
-from .polyspaces import Poly, QuadraticForm, monomials
-from .young_map import _polarize, bipoly_basis
+from .polyspaces import (Poly, QuadraticForm, _pairs, _polarize, bipoly_basis,
+                         monomials)
 
 
 class PolyVectorField:
@@ -46,14 +45,14 @@ class PolyVectorField:
 
 
 def _ck_form(n, q):
-    """(den, den q's rows, den q(y)) as ints, from q.integer_entries."""
+    """(den, den q's rows, den q(y)), ints from integer_entries and _pairs."""
     if q.n != n:
         raise ValueError("variable-count mismatch")
     den, entries = q.integer_entries
-    rows, qy = [[0] * n for _ in range(n)], {}
+    rows, qy, pairs = [[0] * n for _ in range(n)], {}, _pairs(n)
     for k, l, a in entries:
         rows[k][l] = rows[l][k] = a
-        qy[tuple((i == k) + (i == l) for i in range(n))] = (2 - (k == l)) * a
+        qy[pairs[k][l]] = (2 - (k == l)) * a
     return den, rows, qy
 
 
@@ -61,7 +60,7 @@ def _ck_term(c, e, row, qy):
     """den n CK on the unit field x^e d/dx_c, as {(x, y) exponents: int}.
 
     CK(xi) = 2 L(xi_flat) - (2/n) div(xi) q(y), with L = sum_i y_i d/dx_i
-    the polarization of young_map and xi_flat = sum_j (q xi)_j y_j; here
+    the polarization of polyspaces and xi_flat = sum_j (q xi)_j y_j; here
     2 den n xi_flat = x^e sum_j 2 n (den q)_jc y_j, with `row` den q's
     row c, and div(xi) = e_c x^(e - 1_c). `qy` is den q(y).
     """
@@ -114,7 +113,7 @@ def _ck_sum(terms, form):
 def ck_columns(n, d, q=None):
     """Sparse int columns of the conformal Killing operator on degree-d
     fields: column (c, e) is den n CK(x^e d/dx_c) (see _ck_form), and rows
-    run over the bidegree-(d - 1, 2) basis of young_map.bipoly_basis.
+    run over the bidegree-(d - 1, 2) basis of polyspaces.bipoly_basis.
     """
     q = q if q is not None else QuadraticForm.standard(n)
     _, rows, qy = _ck_form(n, q)

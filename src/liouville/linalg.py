@@ -30,6 +30,8 @@ def _exact(c):
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise ValueError(f"{c!r} is a float: give an int or a Fraction")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

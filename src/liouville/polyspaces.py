@@ -9,15 +9,18 @@ every space S^d a canonical basis. The engine's operators act on plain
 {exponents: coeff} dicts and build int columns; `Poly` wraps such a dict
 only where a polynomial enters or leaves the API (y_dq, the projector,
 kernels), so it has no arithmetic of its own. The quadratic form q, the
-q-Laplacian's int columns and harmonic dimensions live here. A form's
-denominators are cleared once, by `QuadraticForm.integer_entries`, which
-the y_{d,q}, Killing and Laplacian columns read (the last on the form
-q^{-1}, one linalg.solve); every other matrix's by `linalg`'s echelon.
+q-Laplacian's int columns and harmonic dimensions live here, with the
+(x, y) ring in 2n variables that y_{d,q} and CK share: its bidegree basis,
+polarizations and z_k z_l table `_pairs`. A form's denominators are
+cleared once, by `QuadraticForm.integer_entries`, which the y_{d,q}, CK
+and Laplacian columns read through `_pairs` (the last on q^{-1}, one
+linalg.solve); every other matrix's by `linalg`'s echelon.
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement
 from math import lcm
+from operator import sub
 
 from . import linalg
 from .linalg import _exact
@@ -34,6 +37,35 @@ def monomials(n, d):
             e[i] += 1
         out.append(tuple(e))
     return out
+
+
+def bipoly_basis(n, d, e):
+    """Canonical basis of bidegree (d,e) in (x, y): exponent tuples ex + ey."""
+    ys = monomials(n, e)
+    return [ex + ey for ex in monomials(n, d) for ey in ys]
+
+
+def _polarize(G, n, src, dst):
+    """sum_i z_{dst+i} d/dz_{src+i} on {exponents: c}, x at offset 0 and
+    y at offset n; only the nonzero exponents of the source block are
+    visited. R = _polarize(G, n, n, 0), L = _polarize(G, n, 0, n)."""
+    out = {}
+    for k, c in G.items():
+        for i, b in enumerate(k[src:src + n]):
+            if b:
+                m = list(k)
+                m[src + i] = b - 1
+                m[dst + i] += 1
+                m = tuple(m)
+                out[m] = out.get(m, 0) + b * c
+    return out
+
+
+@cache
+def _pairs(n):
+    """Exponents of z_i z_j in n variables, indexed [i][j]: one table per n."""
+    return tuple(tuple(tuple((k == i) + (k == j) for k in range(n))
+                       for j in range(n)) for i in range(n))
 
 
 class Poly:
@@ -109,7 +141,8 @@ class QuadraticForm:
                           for l, a in enumerate(row[k:], k) if a)
 
     def as_poly(self):
-        """q as the polynomial z^T A z."""
+        """q as z^T A z by its own loop, not `_pairs`: selftest's projector
+        oracle reads it, the one check that sees a wrong but injective y_dq."""
         out = {}
         for i, row in enumerate(self.matrix):
             for j in range(i, self.n):
@@ -136,24 +169,17 @@ def laplacian_columns(n, d, q):
     """Sparse int columns of den Delta_q : S^d -> S^{d-2}, where
     Delta_q x^e = sum_{i,j} q^{ij} d_i d_j x^e and (den, den q^{kl}),
     k <= l, are the `integer_entries` of the form q^{-1} (one _invert):
-    each entry takes x^e to e_k (e_l - [k = l]) x^(e - 1_k - 1_l), twice
-    when k != l."""
+    each entry takes x^e to e_k (e_l - [k = l]) x^e / (x_k x_l), a row of
+    its own, twice when k != l."""
     if q.n != n:
         raise ValueError("variable-count mismatch")
     entries = QuadraticForm(_invert(q.matrix)).integer_entries[1]
-    src = monomials(n, d)
+    src, pairs = monomials(n, d), _pairs(n)
     dst = {e: i for i, e in enumerate(monomials(n, max(d - 2, 0)))}
-    cols = []
-    for e in src:
-        col = {}  # each pair k <= l lowers e to its own row
-        for k, l, a in entries:
-            if w := e[k] * (e[l] - 1 if k == l else 2 * e[l]):
-                m = list(e)
-                m[k] -= 1
-                m[l] -= 1
-                col[dst[tuple(m)]] = w * a
-        cols.append(col)
-    return cols, src
+    return [{dst[tuple(map(sub, e, pairs[k][l]))]: w * a
+             for k, l, a in entries
+             if (w := e[k] * (e[l] - 1 if k == l else 2 * e[l]))}
+            for e in src], src
 
 
 def harmonic_dim(n, d, q=None):

@@ -1,6 +1,6 @@
 """The vertical Young multiplication S^d(M*) -> Sigma^{d,2}(M*).
 
-Sigma^{d,2} is realized in the polynomials in 2n variables (x, y),
+Sigma^{d,2} is realized in the (x, y) ring of `polyspaces`, 2n variables
 x_1..x_n then y_1..y_n, as ker R in bidegree (d,2), R = sum_i x_i d/dy_i
 ((GL_n, GL_2) Howe duality), cut out by the sl_2 extremal projector in R
 and L = sum_i y_i d/dx_i alone. The map sends f to the projection of
@@ -17,35 +17,13 @@ independent oracle of the ranks.
 """
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
 from . import linalg
-from .polyspaces import Poly, QuadraticForm, monomials
+from .polyspaces import (Poly, QuadraticForm, _pairs, _polarize, bipoly_basis,
+                         monomials)
 from .weights import _perm_sign, pad, sym_dim, weyl_dim
-
-
-def bipoly_basis(n, d, e):
-    """Canonical basis of bidegree (d,e): exponent tuples ex + ey."""
-    ys = monomials(n, e)
-    return [ex + ey for ex in monomials(n, d) for ey in ys]
-
-
-def _polarize(G, n, src, dst):
-    """sum_i z_{dst+i} d/dz_{src+i} on {exponents: c}, x at offset 0 and
-    y at offset n; only the nonzero exponents of the source block are
-    visited. R = _polarize(G, n, n, 0), L = _polarize(G, n, 0, n)."""
-    out = {}
-    for k, c in G.items():
-        for i, b in enumerate(k[src:src + n]):
-            if b:
-                m = list(k)
-                m[src + i] = b - 1
-                m[dst + i] += 1
-                m = tuple(m)
-                out[m] = out.get(m, 0) + b * c
-    return out
 
 
 def casimir_apply(F):
@@ -97,26 +75,20 @@ def project_isotypic(F):
                 {k: Fraction(c, K) for k, c in out.items() if c})
 
 
-@cache
-def _y_pairs(n):
-    """y-exponent tuples of y_i y_j, indexed [i][j]: one table per n."""
-    return tuple(tuple(tuple((k == i) + (k == j) for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
 def y_dq(f, q):
     """Vertical Young multiplication by q applied to f, in x and y.
 
     The projection of f(x) q(y), evaluated from the closed form
     d(d+1) y = d(d-1) f q(y) - 2(d-1) (L f) B + (L^2 f) q(x) of the module
     docstring. q's integer entries den_q a_kl, k <= l, come once per form
-    (`QuadraticForm.integer_entries`); each term c x^e of f, each entry
-    and each unordered pair i <= j of f's support add into one dict, of
-    ints when f's coefficients are ints, as they are in `y_dq_columns`. A
-    symmetric term with k != l or i != j stands for two ordered ones and
-    counts twice, and each of B's off-diagonal entries gives its two terms
-    x_k y_l and x_l y_k. The sum is divided once by K = den_q d(d+1): a
-    coefficient is an int when it is integral and a Fraction otherwise.
+    (`QuadraticForm.integer_entries`), the exponents of y_i y_j from
+    `_pairs`; each term c x^e of f, each entry and each unordered pair
+    i <= j of f's support add into one dict, of ints when f's coefficients
+    are ints, as they are in `y_dq_columns`. A symmetric term with k != l
+    or i != j stands for two ordered ones and counts twice, and each of
+    B's off-diagonal entries gives its two terms x_k y_l and x_l y_k. The
+    sum is divided once by K = den_q d(d+1): a coefficient is an int when
+    it is integral and a Fraction otherwise.
     """
     n, d = f.n, f.degree
     if d < 2:
@@ -124,7 +96,7 @@ def y_dq(f, q):
     if n != q.n:
         raise ValueError("variable-count mismatch")
     den_q, entries = q.integer_entries
-    yy = _y_pairs(n)
+    yy = _pairs(n)
     fq, lb = d * (d - 1), -2 * (d - 1)
     out = {}
     for e, c in f.coeffs.items():

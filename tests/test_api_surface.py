@@ -7,7 +7,8 @@ literal that is exactly the name (as in a table of names to trace); a
 word in a comment, a docstring or a message is not. A name only tests
 call belongs in the test that calls it. Every module-level private
 function must be used in src/liouville outside its own body, so a
-deletion cannot leave a helper behind.
+deletion cannot leave a helper behind. The (x, y) ring that y_{d,q}
+and the Killing operator share is defined once, in polyspaces.
 """
 
 import ast
@@ -96,3 +97,33 @@ def test_every_private_function_has_a_caller():
                if used[f.name] == Counter(uses(f))[f.name]]
     assert helpers
     assert not orphans, f"private functions nothing in src/ calls: {orphans}"
+
+
+RING = ["bipoly_basis", "_polarize", "_pairs"]
+
+
+def imported_modules(tree):
+    """The last dotted name of each module an import in tree reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.rpartition(".")[2] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.rpartition(".")[2]
+            if node.module in (None, "liouville"):
+                yield from (a.name for a in node.names)
+
+
+def test_the_xy_ring_has_one_home():
+    # the bidegree basis, the polarization and the z_k z_l table of the
+    # (x, y) ring are defined in polyspaces alone, and killing reads them
+    # from there, not through young_map
+    homes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in RING:
+                homes.setdefault(node.name, []).append(path.stem)
+    assert homes == {name: ["polyspaces"] for name in RING}
+    killing = ast.parse((PACKAGE / "killing.py").read_text())
+    assert "polyspaces" in set(imported_modules(killing))
+    assert "young_map" not in set(imported_modules(killing))

@@ -60,20 +60,23 @@ def test_killing_kernel_traces_one_nullspace():
     assert metrics["linalg.rref.calls"] == 0
 
 
-def test_every_rref_caller_passes_int_keyed_columns():
-    # the traced rref stat indexes rows[0] and reads every key as a
-    # number; nothing in src/ calls rref any more: the structure-constant
-    # table (_solve) and the inverse form the q-Laplacian's columns read
-    # (_invert, whose last caller is laplacian_columns) take their
-    # coordinates off linalg.solve, which the trace does not wrap
+def test_structure_constants_and_laplacian_reach_linalg_through_solve(
+        monkeypatch):
+    # the structure-constant table (_solve) and the inverse form that the
+    # q-Laplacian's columns read (_invert) take their coordinates off one
+    # linalg.solve each, which the trace does not wrap, and run no rref
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
-    from liouville import killing, polyspaces
+    from liouville import killing, linalg, polyspaces
+    solves, solve = [], linalg.solve
+    monkeypatch.setattr(linalg, "solve",
+                        lambda *args: solves.append(args) or solve(*args))
     tracer = tracing.Tracer()
     with tracer.installed():
         killing.structure_constants(killing.named_conformal_basis(3))
         polyspaces.laplacian_columns(
             2, 3, polyspaces.QuadraticForm([[2, 1], [1, 3]]))
+    assert len(solves) == 2
     assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 0
 
 

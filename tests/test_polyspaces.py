@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from liouville import linalg, polyspaces
-from liouville.polyspaces import QuadraticForm, harmonic_dim, monomials
+from liouville.polyspaces import Poly, QuadraticForm, harmonic_dim, monomials
 from polyref import ref_laplacian, ref_mul, ref_scale, ref_sub
 
 
@@ -19,6 +19,21 @@ def test_quadratic_form_rejects_degenerate_and_asymmetric():
         QuadraticForm([[1, 0], [0, 0]])
     with pytest.raises(ValueError):
         QuadraticForm([[1, 2], [3, 1]])
+
+
+def test_floats_are_refused_and_rationals_kept_exact():
+    # 0.1 is stored as its binary expansion 3602879701896397/2^55 if it
+    # is let through, so both constructors refuse any float
+    with pytest.raises(ValueError, match="float"):
+        QuadraticForm([[0.1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="float"):
+        Poly(2, 1, {(1, 0): 0.1})
+    q = QuadraticForm([[Fraction(4, 2), Fraction(1, 3)], [Fraction(1, 3), 1]])
+    assert q.matrix == [[2, Fraction(1, 3)], [Fraction(1, 3), 1]]
+    assert [type(x) for x in q.matrix[0]] == [int, Fraction]
+    f = Poly(2, 1, {(1, 0): Fraction(6, 3), (0, 1): Fraction(1, 10)})
+    assert f.coeffs == {(1, 0): 2, (0, 1): Fraction(1, 10)}
+    assert type(f.coeffs[1, 0]) is int
 
 
 class TestLazyInverse:
