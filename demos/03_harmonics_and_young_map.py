@@ -8,8 +8,7 @@ S^d x S^2 apart. Injective for n >= 3; for n = 2 the kernel is
 """
 
 from liouville import young_map
-from liouville.polyspaces import harmonic_dim
-from liouville.weights import pad, weyl_dim
+from liouville.weights import pad, sym_dim, weyl_dim
 
 print("Casimir eigenvalues separating the three isotypic pieces of"
       " S^d x S^2")
@@ -34,7 +33,8 @@ for f in young_map.y_dq_kernel(2, 3):
     print("  ", f)
 
 print()
-print("harmonic decomposition dim S^d = sum of harmonic dims")
+print("harmonic dims by the closed form dim S^m - dim S^(m-2);"
+      " dim S^d is their sum")
 n, d = 4, 5
-parts = [harmonic_dim(n, d - 2 * j) for j in range(d // 2 + 1)]
+parts = [sym_dim(n, m) - sym_dim(n, m - 2) for m in range(d, -1, -2)]
 print(f"  n = {n}, d = {d}: {parts}, total {sum(parts)}")

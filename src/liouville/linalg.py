@@ -5,8 +5,9 @@ module reads one. Matrices come as sparse columns {row: value} with int
 or Fraction values, and the echelon is where their denominators are
 cleared: a column of nonzero ints, as the y_{d,q} and Killing columns
 are, is taken as it is after one type check of its entries; any other
-column is cleared to integers with its zeros dropped. Column j is tagged
-{j: denominator} and reduced against the pivots found so far by integer
+column is cleared to integers with its zeros dropped, and one holding a
+float is refused with ValueError. Column j is tagged {j: denominator}
+and reduced against the pivots found so far by integer
 cross-multiplication (Bareiss-style, no Fractions inside the loop);
 every combination is applied to its tag as well, so a tag always says
 which combination of the input columns its vector is. A column that
@@ -63,10 +64,10 @@ def _echelon(columns):
         vec, den = col, 1
         for x in col.values():
             if type(x) is not int or not x:
-                # a Fraction, even Fraction(3, 1), or a zero: rebuild the
-                # column; an all-int one is kept, as nothing below
-                # modifies vec in place
-                den = lcm(*(v.denominator for v in col.values()))
+                # a Fraction, even Fraction(3, 1), a zero or a float,
+                # which _exact refuses: rebuild the column; an all-int one
+                # is kept, as nothing below modifies vec in place
+                den = lcm(*(_exact(v).denominator for v in col.values()))
                 vec = {i: x.numerator * (den // x.denominator)
                        for i, x in col.items() if x}
                 break

@@ -8,19 +8,17 @@ Monomials are exponent tuples ordered graded-lexicographically, giving
 every space S^d a canonical basis. The engine's operators act on plain
 {exponents: coeff} dicts and build int columns; `Poly` wraps such a dict
 only where a polynomial enters or leaves the API (y_dq, the projector,
-kernels), so it has no arithmetic of its own. The quadratic form q, the
-q-Laplacian's int columns and harmonic dimensions live here, with the
-(x, y) ring in 2n variables that y_{d,q} and CK share: its bidegree basis,
-polarizations and z_k z_l table `_pairs`. A form's denominators are
-cleared once, by `QuadraticForm.integer_entries`, which the y_{d,q}, CK
-and Laplacian columns read through `_pairs` (the last on q^{-1}, one
-linalg.solve); every other matrix's by `linalg`'s echelon.
+kernels), so it has no arithmetic of its own. The module holds the
+(x, y) ring in 2n variables that y_{d,q} and CK share (its bidegree
+basis, polarizations and z_k z_l table `_pairs`), `Poly` and the
+quadratic form q. A form's denominators are cleared once, by
+`QuadraticForm.integer_entries`, which the y_{d,q} and CK columns read
+through `_pairs`; every other matrix's by `linalg`'s echelon.
 """
 
 from functools import cache, cached_property
 from itertools import combinations_with_replacement
 from math import lcm
-from operator import sub
 
 from . import linalg
 from .linalg import _exact
@@ -152,39 +150,4 @@ class QuadraticForm:
                     e[j] += 1
                     out[tuple(e)] = row[j] if i == j else 2 * row[j]
         return Poly(self.n, 2, out)
-
-
-def _invert(mat):
-    """A^{-1}: its column j is the coordinates of e_j over A's columns, by
-    one linalg.solve; fewer than n of them means A is degenerate."""
-    n = len(mat)
-    cols = [{i: row[j] for i, row in enumerate(mat)} for j in range(n)]
-    inv = linalg.solve(cols, [{j: 1} for j in range(n)])
-    if len(inv) < n:
-        raise ValueError("quadratic form is degenerate")
-    return [[c.get(i, 0) for c in inv] for i in range(n)]
-
-
-def laplacian_columns(n, d, q):
-    """Sparse int columns of den Delta_q : S^d -> S^{d-2}, where
-    Delta_q x^e = sum_{i,j} q^{ij} d_i d_j x^e and (den, den q^{kl}),
-    k <= l, are the `integer_entries` of the form q^{-1} (one _invert):
-    each entry takes x^e to e_k (e_l - [k = l]) x^e / (x_k x_l), a row of
-    its own, twice when k != l."""
-    if q.n != n:
-        raise ValueError("variable-count mismatch")
-    entries = QuadraticForm(_invert(q.matrix)).integer_entries[1]
-    src, pairs = monomials(n, d), _pairs(n)
-    dst = {e: i for i, e in enumerate(monomials(n, max(d - 2, 0)))}
-    return [{dst[tuple(map(sub, e, pairs[k][l]))]: w * a
-             for k, l, a in entries
-             if (w := e[k] * (e[l] - 1 if k == l else 2 * e[l]))}
-            for e in src], src
-
-
-def harmonic_dim(n, d, q=None):
-    """Exact dimension of ker(Delta_q) on S^d."""
-    q = q if q is not None else QuadraticForm.standard(n)
-    cols, src = laplacian_columns(n, d, q)
-    return len(src) - linalg.rank_sparse(cols)
 

@@ -6,9 +6,10 @@ bench/. A use is a name, an attribute or an import of it, or a string
 literal that is exactly the name (as in a table of names to trace); a
 word in a comment, a docstring or a message is not. A name only tests
 call belongs in the test that calls it. Every module-level private
-function must be used in src/liouville outside its own body, so a
-deletion cannot leave a helper behind. The (x, y) ring that y_{d,q}
-and the Killing operator share is defined once, in polyspaces.
+function must be used in src/liouville outside its own body, and every
+name a module imports at module level must be used in that module, so a
+deletion cannot leave a helper or an import behind. The (x, y) ring that
+y_{d,q} and the Killing operator share is defined once, in polyspaces.
 """
 
 import ast
@@ -97,6 +98,20 @@ def test_every_private_function_has_a_caller():
                if used[f.name] == Counter(uses(f))[f.name]]
     assert helpers
     assert not orphans, f"private functions nothing in src/ calls: {orphans}"
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {name}" for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names
+                   if (name := (alias.asname or alias.name).partition(".")[0])
+                   not in loaded]
+    assert not unused, f"imports their module does not use: {unused}"
 
 
 RING = ["bipoly_basis", "_polarize", "_pairs"]

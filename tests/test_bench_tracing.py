@@ -60,23 +60,19 @@ def test_killing_kernel_traces_one_nullspace():
     assert metrics["linalg.rref.calls"] == 0
 
 
-def test_structure_constants_and_laplacian_reach_linalg_through_solve(
-        monkeypatch):
-    # the structure-constant table (_solve) and the inverse form that the
-    # q-Laplacian's columns read (_invert) take their coordinates off one
-    # linalg.solve each, which the trace does not wrap, and run no rref
+def test_structure_constants_reach_linalg_through_one_solve(monkeypatch):
+    # the structure-constant table (_solve) takes all its coordinates off
+    # one linalg.solve, which the trace does not wrap, and runs no rref
     for module in TRACED:
         importlib.import_module(f"liouville.{module}")
-    from liouville import killing, linalg, polyspaces
+    from liouville import killing, linalg
     solves, solve = [], linalg.solve
     monkeypatch.setattr(linalg, "solve",
                         lambda *args: solves.append(args) or solve(*args))
     tracer = tracing.Tracer()
     with tracer.installed():
         killing.structure_constants(killing.named_conformal_basis(3))
-        polyspaces.laplacian_columns(
-            2, 3, polyspaces.QuadraticForm([[2, 1], [1, 3]]))
-    assert len(solves) == 2
+    assert len(solves) == 1
     assert tracing.layer_metrics(tracer.spans)["linalg.rref.calls"] == 0
 
 

@@ -24,7 +24,7 @@ DIGESTS = {
     "02_cech_punctured_affine":
         "cfbd59b9f04bf11516748b29b82a9a41d40824d643e1699510272165d1f88890",
     "03_harmonics_and_young_map":
-        "17755bdb99712f8f0347de69deecc4e917843d9d0ffea73eb5f161d4fdef0462",
+        "f2b0d5cfdd650f1b73a3fae4db9cd9089c44fa995bc0e62368a5f4765e139818",
     "04_conformal_killing":
         "41bfa2a8b275e7dbdf46f8f5ca734e2d1db0da02bc5f8b01ebc2267fbe6100d8",
     "05_cohomology_table":

@@ -120,6 +120,20 @@ def test_value_types_do_not_change_results():
                     linalg.nullspace(copy)) == expected
 
 
+@pytest.mark.parametrize("call", [
+    lambda: linalg.rank_sparse([{0: 0.5}, {1: 1}]),
+    lambda: linalg.rank([[0.1, 0], [0, 1]]),
+    lambda: linalg.nullspace([{0: 0.5}, {0: 1}]),
+    lambda: linalg.solve([{0: 0.5}], [{0: 1}]),
+    lambda: linalg.rref([{0: 1, 1: 2.0}]),
+], ids=["rank_sparse", "rank", "nullspace", "solve", "rref"])
+def test_a_float_entry_is_refused(call):
+    # a float takes the echelon's rebuild branch, as any non-int entry
+    # does, and is refused there as Poly and QuadraticForm refuse it
+    with pytest.raises(ValueError, match="float"):
+        call()
+
+
 @st.composite
 def solve_cases(draw):
     """Sparse int or Fraction columns on m rows, some of them combinations

@@ -1,9 +1,9 @@
 """Hypothesis properties of the Casimir, the projector against the
 Casimir steps, the integer y_dq columns, y_dq against its closed form and
 against the projector, the conformal Killing operator and its int
-columns, the integer q-Laplacian columns, the Lie bracket, the Jacobi
-check, the int-or-Fraction coefficient representation, Cech slices and
-Bott's answers. The references run on the dict arithmetic of `polyref`."""
+columns, the Lie bracket, the Jacobi check, the int-or-Fraction
+coefficient representation, Cech slices and Bott's answers. The
+references run on the dict arithmetic of `polyref`."""
 
 import contextlib
 import io
@@ -19,11 +19,9 @@ from hypothesis import assume, given, settings, strategies as st
 from liouville import bott, cech, cli, killing, young_map as ym
 from liouville.killing import (PolyVectorField, bracket, ck_columns,
                                ck_operator)
-from liouville.polyspaces import (Poly, QuadraticForm, laplacian_columns,
-                                  monomials)
-from polyref import (component, ref_add, ref_bracket, ref_diff,
-                     ref_inverse, ref_laplacian, ref_mul, ref_nonzero,
-                     ref_scale, ref_sub)
+from liouville.polyspaces import Poly, QuadraticForm, monomials
+from polyref import (component, ref_add, ref_bracket, ref_diff, ref_mul,
+                     ref_nonzero, ref_scale, ref_sub)
 
 small = st.integers(-3, 3).filter(bool)
 
@@ -532,32 +530,6 @@ def test_coefficients_are_ints_exactly_when_integral(case):
             ref_json(component(terms, m)) for m in range(n)] if terms else []}
     assert stored_exactly(x for row in q.matrix for x in row)
     assert stored_exactly(q.as_poly().coeffs.values())
-
-
-@st.composite
-def laplacian_cases(draw):
-    """n = 1..5, degree 0..6 and a nondegenerate rational form."""
-    n, d = draw(st.integers(1, 5)), draw(st.integers(0, 6))
-    q = draw(rational_forms(n)) if n > 1 else QuadraticForm(
-        [[draw(mixed.filter(bool))]])
-    return n, d, q
-
-
-@bounded(40)
-@given(laplacian_cases())
-def test_laplacian_columns_are_one_int_multiple_of_the_reference(case):
-    """Every laplacian_columns column is all-int and K Delta_q x^e by the
-    reference Laplacian, one K = den for all, den the lcm of the
-    denominators of q^{-1}."""
-    n, d, q = case
-    cols, src = laplacian_columns(n, d, q)
-    index = {e: r for r, e in enumerate(monomials(n, max(d - 2, 0)))}
-    K = lcm(*(x.denominator for row in ref_inverse(q.matrix) for x in row))
-    assert src == monomials(n, d)
-    for e, col in zip(src, cols):
-        assert all(type(v) is int and v for v in col.values())
-        ref = ref_laplacian({e: 1}, q)
-        assert col == {index[k]: K * c for k, c in ref.items()}
 
 
 @st.composite

@@ -5,21 +5,21 @@ from math import comb, prod
 
 import pytest
 
-from liouville import linalg, polyspaces, young_map as ym
+from liouville import linalg, young_map as ym
 from liouville.polyspaces import Poly, QuadraticForm, monomials
 from liouville.weights import pad, weyl_dim
-from polyref import ref_add, ref_mul, ref_scale, ref_sub
-
-
-def dense(v, size):
-    """A sparse {column: value} vector as a dense list of length `size`."""
-    return [v.get(j, Fraction(0)) for j in range(size)]
+from polyref import (ref_add, ref_inverse, ref_laplacian, ref_mul, ref_scale,
+                     ref_sub)
 
 
 def harmonic_basis(n, d, q):
-    """Basis of ker(Delta_q) on S^d (d >= 2), the nullspace of its columns."""
-    cols, src = polyspaces.laplacian_columns(n, d, q)
-    return [Poly(n, d, dict(zip(src, dense(v, len(src)))))
+    """Basis of ker(Delta_q) on S^d (d >= 2): the nullspace of the
+    reference Laplacian's columns."""
+    src = monomials(n, d)
+    dst = {e: i for i, e in enumerate(monomials(n, d - 2))}
+    cols = [{dst[k]: c for k, c in ref_laplacian({e: 1}, q).items()}
+            for e in src]
+    return [Poly(n, d, {src[j]: c for j, c in v.items()})
             for v in linalg.nullspace(cols)]
 
 
@@ -214,27 +214,24 @@ class TestYdq:
 
 
 def cayley_rotation(n, rng):
-    """(I - A)(I + A)^{-1} for a random antisymmetric rational A."""
-    while True:
-        A = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                A[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                A[j][i] = -A[i][j]
-        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        try:
-            inv = polyspaces._invert(
-                [[eye[i][j] + A[i][j] for j in range(n)] for i in range(n)])
-        except ValueError:
-            continue
-        R = [[sum((eye[i][k] - A[i][k]) * inv[k][j] for k in range(n))
-              for j in range(n)] for i in range(n)]
-        # orthogonality: R^T R = I
-        for i in range(n):
-            for j in range(n):
-                got = sum(R[k][i] * R[k][j] for k in range(n))
-                assert got == (1 if i == j else 0)
-        return R
+    """(I - A)(I + A)^{-1} for a random antisymmetric rational A; I + A
+    is invertible, as x^T (I + A) x = |x|^2."""
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            A[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            A[j][i] = -A[i][j]
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    inv = ref_inverse(
+        [[eye[i][j] + A[i][j] for j in range(n)] for i in range(n)])
+    R = [[sum((eye[i][k] - A[i][k]) * inv[k][j] for k in range(n))
+          for j in range(n)] for i in range(n)]
+    # orthogonality: R^T R = I
+    for i in range(n):
+        for j in range(n):
+            got = sum(R[k][i] * R[k][j] for k in range(n))
+            assert got == (1 if i == j else 0)
+    return R
 
 
 def substitute(f, forms):
