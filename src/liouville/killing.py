@@ -2,32 +2,35 @@
 
 The conformal Killing operator is the traceless symmetrized gradient
 (with the 2/n trace normalization), on degree-d fields one polynomial of
-bidegree (d - 1, 2) in polyspaces' (x, y) ring, built with its
-polarization L, on ints as den n CK, den the lcm of the denominators of
-q: its sparse columns are all ints, one multiple of CK, and its kernel
-per degree is their exact nullspace. The degree-(0,1,2) kernel carries
-the usual conformal algebra: two exact ranks over the graph
-{(x, phi x)} of phi, the map of the named basis to its images in
-so(n+2) (q split-extended to C^{n+2}), show from the brackets of
-P_1..P_n and K_1 that it is closed, and one rank that phi is onto. Both
-sides touch only nonzero terms. Inside this module a field is its terms
-{(component, exponents): coeff}: the named generators are built and
-returned as terms, and the bracket and CK take terms and the bracket
-returns them; `PolyVectorField` is only the form in which ck_kernel
-returns fields and ck_operator takes one. Each image is built as its
-nonzero entries {(i, j): x} and commutators are taken on those. One
-linalg.solve of brackets over the basis reads structure constants, or
-names the pair that fails closure. Values are ints wherever integral.
+bidegree (d - 1, 2) in polyspaces' (x, y) ring, on ints as den n CK, den
+the lcm of the denominators of q: its sparse columns are all ints, one
+multiple of CK, and its kernel per degree is their exact nullspace. Each
+term is keyed by one int, the ring's packed key (polyspaces._packing),
+built by adding precomputed weights to the key of x^e; the keys sort in
+bipoly_basis's order, so the columns need no row index and the echelon
+meets the rows in grlex order. Only ck_operator keys its output back to
+exponents. The degree-(0,1,2) kernel carries the usual conformal
+algebra: two exact ranks over the graph {(x, phi x)} of phi, the map of
+the named basis to its images in so(n+2) (q split-extended to C^{n+2}),
+show from the brackets of P_1..P_n and K_1 that it is closed, and one
+rank that phi is onto. Both sides touch only nonzero terms. Inside this
+module a field is its terms {(component, exponents): coeff}: the named
+generators are built and returned as terms, and the bracket and CK take
+terms and the bracket returns them; `PolyVectorField` is only the form
+in which ck_kernel returns fields and ck_operator takes one. Each image
+is built as its nonzero entries {(i, j): x} and commutators are taken on
+those. One linalg.solve of brackets over the basis reads structure
+constants, or names the pair that fails closure. Values are ints
+wherever integral.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .linalg import _exact
-from .polyspaces import (Poly, QuadraticForm, _pairs, _polarize, bipoly_basis,
-                         monomials)
+from .polyspaces import Poly, QuadraticForm, _packing, bipoly_basis, monomials
 
 
 class PolyVectorField:
@@ -44,35 +47,47 @@ class PolyVectorField:
         self.components = comps
 
 
-def _ck_form(n, q):
-    """(den, den q's rows, den q(y)), ints from integer_entries and _pairs."""
+def _ck_form(n, q, d):
+    """(den, w, rows, qy) for CK on fields of degree <= d: w the weights of
+    polyspaces._packing for bidegree (d - 1, 2), rows[c] the pairs
+    (w(y_j), 2 n (den q)_cj) over the nonzero entries of q's row c, and qy
+    den q(y) on packed keys; den and the ints from integer_entries."""
     if q.n != n:
         raise ValueError("variable-count mismatch")
     den, entries = q.integer_entries
-    rows, qy, pairs = [[0] * n for _ in range(n)], {}, _pairs(n)
+    w = _packing(n, max(d - 1, 0), 2)
+    rows, qy = [[] for _ in range(n)], {}
     for k, l, a in entries:
-        rows[k][l] = rows[l][k] = a
-        qy[pairs[k][l]] = (2 - (k == l)) * a
-    return den, rows, qy
+        rows[k].append((w[n + l], 2 * n * a))
+        if k != l:
+            rows[l].append((w[n + k], 2 * n * a))
+        qy[w[n + k] + w[n + l]] = (2 - (k == l)) * a
+    return den, w, rows, qy
 
 
-def _ck_term(c, e, row, qy):
-    """den n CK on the unit field x^e d/dx_c, as {(x, y) exponents: int}.
+def _ck_term(c, e, key, form):
+    """den n CK on the unit field x^e d/dx_c, as {packed key: int}, with
+    key the packed key of x^e and form = _ck_form(n, q, d).
 
     CK(xi) = 2 L(xi_flat) - (2/n) div(xi) q(y), with L = sum_i y_i d/dx_i
-    the polarization of polyspaces and xi_flat = sum_j (q xi)_j y_j; here
-    2 den n xi_flat = x^e sum_j 2 n (den q)_jc y_j, with `row` den q's
-    row c, and div(xi) = e_c x^(e - 1_c). `qy` is den q(y).
+    the polarization and xi_flat = sum_j (q xi)_j y_j; here
+    2 den n xi_flat = x^e sum_j 2 n (den q)_cj y_j, and L moves one x_i to
+    y_i, which adds w(y_i) - w(x_i) to a key. div(xi) = e_c x^(e - 1_c)
+    takes w(x_c) off, and q(y)'s packed keys are added to that.
     """
-    n = len(e)
-    flat = {e + (0,) * j + (1,) + (0,) * (n - 1 - j): 2 * n * a
-            for j, a in enumerate(row) if a}
-    out = _polarize(flat, n, 0, n)
+    _, kw, rows, qy = form
+    n, out = len(e), {}
+    for i, b in enumerate(e):
+        if b:
+            shift = key - kw[i] + kw[n + i]
+            for y, a in rows[c]:
+                k = shift + y
+                out[k] = out.get(k, 0) + b * a
     if e[c]:
-        ex = e[:c] + (e[c] - 1,) + e[c + 1:]
+        key -= kw[c]
         w = -2 * e[c]
-        for ey, a in qy.items():
-            k = ex + ey
+        for y, a in qy.items():
+            k = key + y
             out[k] = out.get(k, 0) + w * a
     return {k: v for k, v in out.items() if v}
 
@@ -83,13 +98,18 @@ def ck_operator(xi, q=None):
     CK(xi) = sum_ij T_ij y_i y_j, T the traceless symmetrized gradient of
     xi with its index lowered by q, is of bidegree (d - 1, 2) for xi of
     degree d, and zero iff xi is conformal Killing. Summed as den n CK
-    (on ints when xi is integral) and divided once.
+    (on ints when xi is integral) on packed keys, divided once and keyed
+    back to exponents through bipoly_basis.
     """
-    n = xi.n
-    form = _ck_form(n, q if q is not None else QuadraticForm.standard(n))
-    den_n = form[0] * n
-    return Poly(2 * n, xi.degree + 1, {k: Fraction(v, den_n) for k, v in
-                                       _ck_sum(_terms(xi), form).items()})
+    n, d = xi.n, xi.degree
+    form = _ck_form(n, q if q is not None else QuadraticForm.standard(n), d)
+    den_n, w = form[0] * n, form[1]
+    out = _ck_sum(_terms(xi), form)
+    if not out:  # also every constant field, with no basis to key back to
+        return Poly(2 * n, d + 1)
+    exps = {sum(map(mul, v, w)): v for v in bipoly_basis(n, d - 1, 2)}
+    return Poly(2 * n, d + 1, {exps[k]: Fraction(v, den_n)
+                               for k, v in out.items()})
 
 
 def _terms(field):
@@ -100,30 +120,28 @@ def _terms(field):
 
 def _ck_sum(terms, form):
     """den n CK of the field of terms {(component, exponents): coeff}, as
-    its nonzero terms, for form = _ck_form(n, q): one form serves every
-    field of a check."""
-    _, rows, qy = form
-    out = {}
+    its nonzero terms on packed keys, for form = _ck_form(n, q, d) with d
+    at least the field's degree: one form serves every field of a check."""
+    w, out = form[1], {}
     for (c, e), a in terms.items():
-        for k, v in _ck_term(c, e, rows[c], qy).items():
+        for k, v in _ck_term(c, e, sum(map(mul, e, w)), form).items():
             out[k] = out.get(k, 0) + a * v
     return {k: v for k, v in out.items() if v}
 
 
 def ck_columns(n, d, q=None):
     """Sparse int columns of the conformal Killing operator on degree-d
-    fields: column (c, e) is den n CK(x^e d/dx_c) (see _ck_form), and rows
-    run over the bidegree-(d - 1, 2) basis of polyspaces.bipoly_basis.
+    fields: column (c, e) is den n CK(x^e d/dx_c) (see _ck_form), and its
+    rows are the packed keys of polyspaces._packing, whose order is that
+    of the bidegree-(d - 1, 2) basis bipoly_basis.
     """
-    q = q if q is not None else QuadraticForm.standard(n)
-    _, rows, qy = _ck_form(n, q)
+    form = _ck_form(n, q if q is not None else QuadraticForm.standard(n), d)
     src = monomials(n, d)
     if not d:  # CK kills the constant fields
         return [{} for _ in range(n)], src
-    index = {k: i for i, k in enumerate(bipoly_basis(n, d - 1, 2))}
-    cols = [{index[k]: v for k, v in _ck_term(c, e, rows[c], qy).items()}
-            for c in range(n) for e in src]
-    return cols, src
+    keys = [sum(map(mul, e, form[1])) for e in src]
+    return [_ck_term(c, e, key, form) for c in range(n)
+            for e, key in zip(src, keys)], src
 
 
 def ck_kernel(n, d, q=None):
@@ -295,7 +313,8 @@ def check_jacobi(constants, dim):
 def _check_conformal(n, named_fields):
     """Raise ArithmeticError unless each named field on C^n (terms) is
     nonzero and conformal Killing for the standard form."""
-    form = _ck_form(n, QuadraticForm.standard(n))
+    form = _ck_form(n, QuadraticForm.standard(n), max(
+        (sum(e) for _, terms in named_fields for _, e in terms), default=0))
     for name, terms in named_fields:
         if not terms or _ck_sum(terms, form):
             raise ArithmeticError(f"{name} is not conformal Killing, or is 0")

@@ -10,10 +10,12 @@ every space S^d a canonical basis. The engine's operators act on plain
 only where a polynomial enters or leaves the API (y_dq, the projector,
 kernels), so it has no arithmetic of its own. The module holds the
 (x, y) ring in 2n variables that y_{d,q} and CK share (its bidegree
-basis, polarizations and z_k z_l table `_pairs`), `Poly` and the
-quadratic form q. A form's denominators are cleared once, by
-`QuadraticForm.integer_entries`, which the y_{d,q} and CK columns read
-through `_pairs`; every other matrix's by `linalg`'s echelon.
+basis, the packed int keys `_packing` that sort in that basis's order,
+polarizations and z_k z_l table `_pairs`), `Poly` and the quadratic form
+q. A form's denominators are cleared once, by
+`QuadraticForm.integer_entries`, which the y_{d,q} columns read through
+`_pairs` and the CK columns on packed keys; every other matrix's by
+`linalg`'s echelon.
 """
 
 from functools import cache, cached_property
@@ -41,6 +43,18 @@ def bipoly_basis(n, d, e):
     """Canonical basis of bidegree (d,e) in (x, y): exponent tuples ex + ey."""
     ys = monomials(n, e)
     return [ex + ey for ex in monomials(n, d) for ey in ys]
+
+
+def _packing(n, d, e):
+    """Weights w of the packed int keys of bidegree (d, e) in (x, y):
+    key(v) = sum_t v_t w_t = -(X (e + 1)^n + Y), with X and Y the
+    exponents of x and of y read as numbers in base d + 1 and e + 1, first
+    variable most significant. Each base is above every exponent of its
+    block, so monomials with x exponents <= d and y exponents <= e get
+    distinct keys, and sorting the keys of bipoly_basis(n, d, e) gives
+    its order: the smallest key is the grlex-first row."""
+    return ([-(e + 1) ** n * (d + 1) ** t for t in reversed(range(n))]
+            + [-(e + 1) ** t for t in reversed(range(n))])
 
 
 def _polarize(G, n, src, dst):

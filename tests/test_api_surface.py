@@ -9,7 +9,8 @@ call belongs in the test that calls it. Every module-level private
 function must be used in src/liouville outside its own body, and every
 name a module imports at module level must be used in that module, so a
 deletion cannot leave a helper or an import behind. The (x, y) ring that
-y_{d,q} and the Killing operator share is defined once, in polyspaces.
+y_{d,q} and the Killing operator share is defined once, in polyspaces,
+and nothing is cached between calls but the three things named below.
 """
 
 import ast
@@ -114,7 +115,7 @@ def test_every_module_level_import_is_used():
     assert not unused, f"imports their module does not use: {unused}"
 
 
-RING = ["bipoly_basis", "_polarize", "_pairs"]
+RING = ["bipoly_basis", "_packing", "_polarize", "_pairs"]
 
 
 def imported_modules(tree):
@@ -142,3 +143,46 @@ def test_the_xy_ring_has_one_home():
     killing = ast.parse((PACKAGE / "killing.py").read_text())
     assert "polyspaces" in set(imported_modules(killing))
     assert "young_map" not in set(imported_modules(killing))
+
+
+# peak_rss_mb is a gated benchmark metric, and a speed-up that kept memory
+# between calls has been refused on it: a cache keyed by the sizes a
+# process meets grows with them. The three kept are one parser per
+# process, one z_k z_l table per n and one entry list per form.
+CACHED = ["cli.build_parser", "polyspaces._pairs",
+          "polyspaces.QuadraticForm.integer_entries"]
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _cache_name(node):
+    """The name of node, a decorator or a reference, if it is a cache."""
+    node = node.func if isinstance(node, ast.Call) else node
+    name = getattr(node, "attr", getattr(node, "id", None))
+    return name if name in CACHES else None
+
+
+def cached_names():
+    """module.qualname of each def with a cache decorator, and
+    module:line of each other use of a cache."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree, decorators = ast.parse(path.read_text()), set()
+        stack = [(node, path.stem) for node in tree.body]
+        while stack:
+            node, prefix = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = f"{prefix}.{node.name}"
+                for dec in node.decorator_list:
+                    decorators.add(id(dec.func if isinstance(dec, ast.Call)
+                                      else dec))
+                    if _cache_name(dec):
+                        yield name
+                stack += [(child, name) for child in node.body]
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and _cache_name(node) and id(node) not in decorators):
+                yield f"{path.stem}:{node.lineno}"
+
+
+def test_nothing_is_cached_but_the_parser_the_pair_table_and_form_entries():
+    assert sorted(cached_names()) == sorted(CACHED)

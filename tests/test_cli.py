@@ -395,9 +395,10 @@ class TestBudgets:
         (["ydq", "--n", "12", "--d", "9"], "YDQ_BUDGET"),
         (["killing", "--n", "15", "--d", "6"], "KILLING_BUDGET"),
         # 9,963 columns, weighted by d + 1: refused, though ck_kernel(3, 80)
-        # now takes 0.09 s (in process, 2-vCPU VM, CPython 3.11.7)
+        # now takes 0.06 s (in process, 2-vCPU VM, CPython 3.11.7)
         (["killing", "--n", "3", "--d", "80"], "KILLING_BUDGET"),
-        # 240 columns, but the budget counts 29,161 named generators
+        # 240 columns, and the 240 translations of 240 components that
+        # killing builds at d = 0: 57,600 cases
         (["killing", "--n", "240", "--d", "0"], "KILLING_BUDGET"),
         (["reconf", "--n", "3", "--dmax", "300000"], "RECONF_BUDGET"),
         (["continuity", "--n-range", "2,3", "--dmax", "200"],
@@ -446,6 +447,15 @@ class TestBudgets:
     def test_admits_larger_sizes(self, capsys, heavy, argv, result):
         heavy(argv[0], result)
         assert run(capsys, *argv)[0] == 0
+
+    def test_admits_the_translations_at_n_189(self, capsys, heavy,
+                                              monkeypatch):
+        # 189 * 189 = 35,721 cases: the budget counts the 189 translations
+        # that killing builds at d = 0, not all 191 * 190 / 2 generators
+        from liouville import killing
+        heavy("killing", [])
+        monkeypatch.setattr(killing, "named_generators", lambda n, d: [])
+        assert run(capsys, "killing", "--n", "189", "--d", "0")[0] == 0
 
     def test_long_sheaf_weight_is_fast(self):
         # weyl_dim skips the pairs of equal entries, whose factor is 1; the

@@ -164,7 +164,9 @@ class TestBracket:
         fields = []
         for d in range(3):
             fields.extend(ck_kernel(n, d))
-        form = killing._ck_form(n, QuadraticForm.standard(n))
+        # one form keys CK of every field of degree <= 3, as any bracket of
+        # two fields of degree <= 2 is
+        form = killing._ck_form(n, QuadraticForm.standard(n), 3)
         for a in fields[:5]:
             for b in fields[-5:]:
                 br = bracket(killing._terms(a), killing._terms(b))

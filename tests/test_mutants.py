@@ -60,6 +60,11 @@ MUTANTS = [
     # CK's trace term: continuity's n = 2 rows come from ck_kernel alone
     ("ck-trace-weight", "killing.py",
      "w = -2 * e[c]", "w = -3 * e[c]"),
+    # CK's L term on packed row keys moves x_i to y_i twice over, so its
+    # terms land on the wrong rows: ck_kernel's dimension check fires
+    ("ck-l-key-shift-doubled", "killing.py",
+     "shift = key - kw[i] + kw[n + i]",
+     "shift = key + 2 * (kw[n + i] - kw[i])"),
     # beyond EXACT_RANGE, Bott's H^1 at n = 5, d = 10 moves with Sigma^{10,2}
     ("weyl-two-parts-with-a-10", "weights.py",
      "    return d\n",
@@ -98,10 +103,10 @@ MUTANTS = [
     ("oracle-y-column-dropped", "young_map.py",
      "_oracle_y_columns(c_lam, n, lam[0], q))",
      "_oracle_y_columns(c_lam, n, lam[0], q)[1:])"),
-    # the z_i z_j table that y_dq, CK's q(y) and the q-Laplacian read: a
-    # wrong but injective y_dq keeps its ranks, so `ydq` and `reconf`
-    # print the same, and selftest's projector comparison, whose q(y)
-    # comes from QuadraticForm.as_poly and not this table, catches it
+    # the z_i z_j table that y_dq reads: a wrong but injective y_dq keeps
+    # its ranks, so `ydq` and `reconf` print the same, and selftest's
+    # projector comparison, whose q(y) comes from QuadraticForm.as_poly
+    # and not this table, catches it
     ("pairs-index-shifted", "polyspaces.py",
      "(k == j)", "(k == (j + 1) % n)"),
 ]

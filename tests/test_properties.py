@@ -1,9 +1,9 @@
 """Hypothesis properties of the Casimir, the projector against the
 Casimir steps, the integer y_dq columns, y_dq against its closed form and
-against the projector, the conformal Killing operator and its int
-columns, the Lie bracket, the Jacobi check, the int-or-Fraction
-coefficient representation, Cech slices and Bott's answers. The
-references run on the dict arithmetic of `polyref`."""
+against the projector, the conformal Killing operator, its int columns
+and their packed row keys, the Lie bracket, the Jacobi check, the
+int-or-Fraction coefficient representation, Cech slices and Bott's
+answers. The references run on the dict arithmetic of `polyref`."""
 
 import contextlib
 import io
@@ -11,15 +11,16 @@ import json
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from operator import mul
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from liouville import bott, cech, cli, killing, young_map as ym
+from liouville import bott, cech, cli, killing, linalg, young_map as ym
 from liouville.killing import (PolyVectorField, bracket, ck_columns,
                                ck_operator)
-from liouville.polyspaces import Poly, QuadraticForm, monomials
+from liouville.polyspaces import Poly, QuadraticForm, _packing, monomials
 from polyref import (component, ref_add, ref_bracket, ref_diff, ref_mul,
                      ref_nonzero, ref_scale, ref_sub)
 
@@ -318,8 +319,7 @@ def test_ck_columns_are_one_int_multiple_of_ck_operator(case):
     K = den n for all, den the lcm of the denominators of q's matrix."""
     n, d, q = case
     cols, src = ck_columns(n, d, q)
-    index = {k: i for i, k in
-             enumerate(ym.bipoly_basis(n, max(d - 1, 0), 2))}
+    w = _packing(n, max(d - 1, 0), 2)
     K = lcm(*(x.denominator for row in q.matrix for x in row)) * n
     assert src == monomials(n, d)
     assert len(cols) == n * len(src)
@@ -329,7 +329,35 @@ def test_ck_columns_are_one_int_multiple_of_ck_operator(case):
         xi = PolyVectorField([Poly.monomial(n, src[e]) if k == c
                               else Poly(n, d) for k in range(n)])
         img = ck_operator(xi, q)
-        assert col == {index[k]: K * v for k, v in img.coeffs.items()}
+        assert col == {sum(map(mul, k, w)): K * v
+                       for k, v in img.coeffs.items()}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("d", range(1, 6))
+def test_packed_keys_are_distinct_and_in_basis_order(n, d):
+    """The packed keys of the CK rows, bidegree (d - 1, 2), are one per
+    monomial, and sorting them gives bipoly_basis's order: a base that
+    merged two rows would shrink no kernel, so no command would show it."""
+    w = _packing(n, d - 1, 2)
+    basis = ym.bipoly_basis(n, d - 1, 2)
+    keys = [sum(map(mul, v, w)) for v in basis]
+    assert keys == sorted(set(keys))
+
+
+@bounded(25)
+@given(ck_column_cases())
+def test_ck_nullspace_is_that_of_the_grlex_rows(case):
+    """nullspace of ck_columns is bit for bit that of the same columns
+    with each packed key replaced by its row's index in bipoly_basis: the
+    echelon meets the rows in the same order and picks the same pivots."""
+    n, d, q = case
+    cols, _ = ck_columns(n, d, q)
+    w = _packing(n, max(d - 1, 0), 2)
+    index = {sum(map(mul, v, w)): i for i, v in
+             enumerate(ym.bipoly_basis(n, max(d - 1, 0), 2))}
+    grlex = [{index[k]: v for k, v in col.items()} for col in cols]
+    assert linalg.nullspace(cols) == linalg.nullspace(grlex)
 
 
 @st.composite
