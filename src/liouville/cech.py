@@ -55,12 +55,8 @@ def cech_slice(n, m):
                 col[dst[J]] = (-1) ** J.index(k)
             cols.append(col)
         ranks.append(linalg.rank_sparse(cols))
-    cohom = []
-    for p in range(n):
-        incoming = ranks[p - 1] if p > 0 else 0
-        outgoing = ranks[p] if p < n - 1 else 0
-        cohom.append(cochain[p] - incoming - outgoing)
-    return cochain, cohom
+    r = [0, *ranks, 0]  # r[p] the rank into C^p, r[p + 1] out of it
+    return cochain, [cochain[p] - r[p] - r[p + 1] for p in range(n)]
 
 
 def closed_form(n, m):

@@ -33,17 +33,17 @@ SCHEMA_VERSION = 1
 # complex per negative support, and the complex of the empty support has
 # 2^n - 1 cochains at any box (cech --n 16 --box 0 took 65 s), so
 # CECH_BUDGET counts at least 2 slices per axis: box 0 is admitted up to
-# n = 11 (0.2 s) and refused from n = 12 on. KILLING_BUDGET weights the
-# Killing kernel's columns by d + 1, which refuses kernels cheaper than
-# some it admits (ck_kernel(3, 60) takes 0.03 s on 5,673 columns,
-# ck_kernel(3, 80) 0.06 s), and counts the named generators that killing
-# builds, those of degree d, of n components each. Admitted killing
-# inputs near it took: --n 189 --d 0 0.05 s, --n 41 --d 1 0.08 s, --n 28
-# --d 2 0.25 s, --n 10 --d 4 0.07 s, --n 3 --d 27 0.006 s; the refused
-# --n 240 --d 0 (57,600 cases) would take 0.07 s.
+# n = 11 (0.2 s) and refused from n = 12 on. KILLING_BUDGET counts the
+# n dim S^d Killing columns or the n components of each generator of
+# degree d that killing builds, whichever is more; at n = 2, where the
+# kernel has 2 fields in every degree and the echelon's time grows as d^3
+# (ck_kernel(2, 1000) 0.47 s, (2, 4000) 34 s), each column counts d + 1.
+# The largest admitted d per n took: --n 3 --d 153 0.30 s, --n 4 --d 35
+# 0.29 s, --n 7 --d 9 0.33 s, --n 11 --d 5 0.48 s, --n 20 --d 3 0.44 s,
+# --n 41 --d 2 1.1 s, --n 189 --d 0 0.07 s, --n 2 --d 133 0.01 s.
 CECH_BUDGET = 10 ** 7  # max(2*box+1, 2)^n slices times 2^n cover subsets
 YDQ_BUDGET = 20_000  # dim S^d * dim S^2 monomials of bidegree (d, 2)
-KILLING_BUDGET = 36_000  # n * max((d+1) * dim S^d, generators of degree d)
+KILLING_BUDGET = 36_000  # n * max(dim S^d columns, generators of degree d)
 RECONF_BUDGET = 2 * 10 ** 6  # dmax + 1 rows times n^2 weight-entry pairs
 CONTINUITY_BUDGET = 400  # dmax + 1 rows per n of the range
 BOTT_BUDGET = 500  # weight entries; Bott and Weyl walk every pair of them
@@ -145,9 +145,10 @@ def cmd_ydq(args):
 
 def cmd_killing(args):
     n, d = args.n, args.d
+    # n = 2 has a kernel in every degree (see KILLING_BUDGET)
+    cols = n * weights.sym_dim(n, d) * (d + 1 if n == 2 else 1)
     _within_budget("KILLING_BUDGET", KILLING_BUDGET,
-                   n * max((d + 1) * weights.sym_dim(n, d),
-                           (n, n * (n - 1) // 2 + 1, n, 0)[min(d, 3)]))
+                   max(cols, n * killing.liouville_dim(n, d)))
     payload = {"n": n, "d": d, "dim": len(killing.ck_kernel(n, d))}
     if d <= 2:
         gens = killing.named_generators(n, d)

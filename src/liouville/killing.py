@@ -137,8 +137,6 @@ def ck_columns(n, d, q=None):
     """
     form = _ck_form(n, q if q is not None else QuadraticForm.standard(n), d)
     src = monomials(n, d)
-    if not d:  # CK kills the constant fields
-        return [{} for _ in range(n)], src
     keys = [sum(map(mul, e, form[1])) for e in src]
     return [_ck_term(c, e, key, form) for c in range(n)
             for e, key in zip(src, keys)], src
@@ -329,7 +327,9 @@ def liouville_dim(n, d):
     """Dimension of the degree-d conformal Killing fields by Liouville's
     theorem: n, n(n-1)/2 + 1, n, 0 for d = 0, 1, 2, >= 3 at n >= 3 (the
     translations, rotations with the dilation, special conformal maps),
-    and 2 in every degree at n = 2."""
+    2 in every degree at n = 2, and 0 below degree 0, as sym_dim."""
+    if d < 0:
+        return 0
     return 2 if n == 2 else (n, n * (n - 1) // 2 + 1, n, 0)[min(d, 3)]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import shlex
@@ -23,6 +24,34 @@ def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     return env
+
+
+EXTREMES = (-10 ** 6, -7, -5, -1, 0, 1, 2, 10 ** 6)
+
+
+def extreme_argvs():
+    """Every subcommand over EXTREMES in each integer argument, with at
+    most one argument of size 10^6 per command line, plus a few weights.
+    Two such arguments make a guard's exact size a binomial or power of
+    hundreds of thousands of digits, which takes seconds to compute
+    before the refusal (ydq --n 1000000 --d 1000000 about 40 s)."""
+    def grid(cmd, *flags):
+        for values in itertools.product(EXTREMES, repeat=len(flags)):
+            if sum(abs(v) == 10 ** 6 for v in values) <= 1:
+                yield [cmd, *(x for f, v in zip(flags, values)
+                              for x in (f, str(v)))]
+
+    yield from grid("sheaf", "--n", "--d", "--b")
+    yield from grid("cech", "--n", "--box")
+    yield from grid("killing", "--n", "--d")
+    yield from grid("reconf", "--n", "--dmax")
+    yield from grid("continuity", "--n-range", "--dmax")
+    for argv in grid("ydq", "--n", "--d"):
+        yield argv
+        yield argv + ["--oracle"]
+    for weight in ("0,0,-3,1", "1000000,-1000000", "-7", "", ",", "x"):
+        yield ["bott", "--weight=" + weight]
+    yield ["selftest"]
 
 
 def decimal_digits(x):
@@ -155,6 +184,24 @@ class TestExitCodes:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
+
+    def test_extreme_integers_exit_0_1_or_2(self, capsys, monkeypatch):
+        # no exception escapes cli.run; cech's table is capped at box 2,
+        # since cech --n 1 --box 1000000 is admitted and prints 2*10^6 rows
+        from liouville import cech
+        real = cech.punctured_affine_table
+        monkeypatch.setattr(cech, "punctured_affine_table",
+                            lambda n, box: real(n, min(box, 2)))
+        escaped = []
+        for argv in extreme_argvs():
+            try:
+                code = cli.run(argv)
+            except Exception as e:
+                code = repr(e)
+            if code not in (0, 1, 2):
+                escaped.append((argv, code))
+            capsys.readouterr()
+        assert not escaped
 
     def test_integrity_failure_is_2(self, capsys, monkeypatch):
         from liouville import reconf as reconf_mod
@@ -394,12 +441,17 @@ class TestBudgets:
         (["cech", "--n", "13", "--box", "0"], "CECH_BUDGET"),
         (["ydq", "--n", "12", "--d", "9"], "YDQ_BUDGET"),
         (["killing", "--n", "15", "--d", "6"], "KILLING_BUDGET"),
-        # 9,963 columns, weighted by d + 1: refused, though ck_kernel(3, 80)
-        # now takes 0.06 s (in process, 2-vCPU VM, CPython 3.11.7)
-        (["killing", "--n", "3", "--d", "80"], "KILLING_BUDGET"),
+        # 3 * 12,090 = 36,270 columns, one degree past the largest admitted
+        (["killing", "--n", "3", "--d", "154"], "KILLING_BUDGET"),
         # 240 columns, and the 240 translations of 240 components that
         # killing builds at d = 0: 57,600 cases
         (["killing", "--n", "240", "--d", "0"], "KILLING_BUDGET"),
+        # 42 * 903 = 37,926 columns, more than the 42 special conformal
+        # generators of 42 components each
+        (["killing", "--n", "42", "--d", "2"], "KILLING_BUDGET"),
+        # at n = 2 the kernel has fields in every degree, and the columns
+        # count d + 1 times: 2 * 135 * 135 = 36,450
+        (["killing", "--n", "2", "--d", "134"], "KILLING_BUDGET"),
         (["reconf", "--n", "3", "--dmax", "300000"], "RECONF_BUDGET"),
         (["continuity", "--n-range", "2,3", "--dmax", "200"],
          "CONTINUITY_BUDGET"),
@@ -415,7 +467,8 @@ class TestBudgets:
         (["continuity", "--n-range", "3,3", "--dmax", "4"],
          "n_range repeats an n"),
     ], ids=["cech", "cech-box-0", "ydq", "killing", "killing-high-degree",
-            "killing-generators", "reconf", "continuity",
+            "killing-generators", "killing-n42-d2", "killing-n2-d134",
+            "reconf", "continuity",
             "bott", "sheaf", "cech-negative-box", "cech-negative-n",
             "continuity-negative-dmax", "continuity-n-out-of-range",
             "continuity-repeated-n"])
@@ -438,11 +491,17 @@ class TestBudgets:
         (["ydq", "--n", "7", "--d", "4"], (0, 2436)),
         (["killing", "--n", "6", "--d", "5"], []),
         (["killing", "--n", "10", "--d", "4"], []),
+        # the n dim S^d columns alone: 3 * 3,321 and 3 * 11,935 = 35,805
+        (["killing", "--n", "3", "--d", "80"], []),
+        (["killing", "--n", "3", "--d", "153"], []),
+        # 2 * 134 * 134 = 35,912: the largest n = 2 degree admitted
+        (["killing", "--n", "2", "--d", "133"], []),
         (["reconf", "--n", "3", "--dmax", "200000"], {}),
         (["continuity", "--n-range", "2", "--dmax", "399"], {}),
         (["bott", "--weight=" + ",".join(["0"] * 500)], None),
         (["sheaf", "--n", "10000", "--d", "1", "--b", "1"], None),
     ], ids=["cech", "cech-box-0", "ydq", "killing", "killing-n10-d4",
+            "killing-n3-d80", "killing-n3-d153", "killing-n2-d133",
             "reconf", "continuity", "bott", "sheaf"])
     def test_admits_larger_sizes(self, capsys, heavy, argv, result):
         heavy(argv[0], result)
@@ -456,6 +515,23 @@ class TestBudgets:
         heavy("killing", [])
         monkeypatch.setattr(killing, "named_generators", lambda n, d: [])
         assert run(capsys, "killing", "--n", "189", "--d", "0")[0] == 0
+
+    def test_admits_the_special_conformal_maps_at_n_41(self, capsys, heavy,
+                                                       monkeypatch):
+        # 41 * 861 = 35,301 columns, more than the 41 special conformal
+        # generators of 41 components each
+        from liouville import killing
+        heavy("killing", [])
+        monkeypatch.setattr(killing, "named_generators", lambda n, d: [])
+        assert run(capsys, "killing", "--n", "41", "--d", "2")[0] == 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_negative_degree_is_refused(self, capsys, n):
+        # Liouville's count is 0 below degree 0, as dim S^d is, so the
+        # size is 0 at n = 2 and n >= 3 alike and ck_kernel refuses d
+        code, out, err = run(capsys, "killing", "--n", str(n), "--d", "-5")
+        assert (code, out) == (1, "")
+        assert "need n >= 2, d >= 0" in err
 
     def test_long_sheaf_weight_is_fast(self):
         # weyl_dim skips the pairs of equal entries, whose factor is 1; the

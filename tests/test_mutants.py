@@ -65,6 +65,10 @@ MUTANTS = [
     ("ck-l-key-shift-doubled", "killing.py",
      "shift = key - kw[i] + kw[n + i]",
      "shift = key + 2 * (kw[n + i] - kw[i])"),
+    # Liouville's count of the rotations and the dilation, the one count
+    # that ck_kernel's check, reconf's H^0 rows and the killing guard read
+    ("liouville-rotations-plus-one", "killing.py",
+     "n * (n - 1) // 2 + 1", "n * (n - 1) // 2 + 2"),
     # beyond EXACT_RANGE, Bott's H^1 at n = 5, d = 10 moves with Sigma^{10,2}
     ("weyl-two-parts-with-a-10", "weights.py",
      "    return d\n",
